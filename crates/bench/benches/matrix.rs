@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use prf_bench::runner::{run_matrix_with_threads, Job};
+use prf_bench::runner::{run_matrix_resilient_configured, Job, MatrixOutcome, RetryPolicy};
 use prf_bench::{experiment_gpu, seed_jobs};
 use prf_core::{PartitionedRfConfig, RfKind};
 use prf_sim::SchedulerPolicy;
@@ -26,6 +26,10 @@ fn jobs() -> Vec<Job> {
         .collect()
 }
 
+fn run(jobs: &[Job], threads: usize) -> MatrixOutcome {
+    run_matrix_resilient_configured(jobs, RetryPolicy::none(), threads, None, None)
+}
+
 fn bench_matrix(c: &mut Criterion) {
     let jobs = jobs();
     let threads = std::thread::available_parallelism()
@@ -33,16 +37,12 @@ fn bench_matrix(c: &mut Criterion) {
         .unwrap_or(1);
     let mut g = c.benchmark_group("run_matrix");
     g.sample_size(10);
-    g.bench_function("serial_1_thread", |b| {
-        b.iter(|| run_matrix_with_threads(&jobs, 1))
-    });
+    g.bench_function("serial_1_thread", |b| b.iter(|| run(&jobs, 1)));
     g.bench_function(format!("parallel_{threads}_threads"), |b| {
-        b.iter(|| run_matrix_with_threads(&jobs, threads))
+        b.iter(|| run(&jobs, threads))
     });
     if threads != 4 {
-        g.bench_function("parallel_4_threads", |b| {
-            b.iter(|| run_matrix_with_threads(&jobs, 4))
-        });
+        g.bench_function("parallel_4_threads", |b| b.iter(|| run(&jobs, 4)));
     }
     g.finish();
 }

@@ -2,7 +2,7 @@
 //!
 //! Every figure binary emits a `BENCH_<name>.json` next to its printed
 //! table: per-job cycles, instruction counts, the energy breakdown, audit
-//! status, repair counts, the retry/timeout outcome, and wall-clock phase
+//! status, repair counts, the job outcome, and wall-clock phase
 //! profile — so the bench trajectory is diffable across commits without
 //! re-parsing human-oriented tables. The file lands in `$PRF_REPORT_DIR`
 //! when set, else the current directory; names pass through
@@ -19,7 +19,6 @@ use prf_core::{ExperimentResult, PhaseTimings};
 use crate::json::Json;
 use crate::report::{safe_file_name, CsvTable};
 use crate::runner::{JobOutcome, MatrixReport};
-use crate::vfs::Vfs;
 
 /// Version of the `BENCH_<name>.json` schema. Bump on breaking changes.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -39,15 +38,9 @@ fn phases_json(p: &PhaseTimings) -> Json {
 pub(crate) fn outcome_json(outcome: &JobOutcome) -> Json {
     match outcome {
         JobOutcome::Completed => Json::obj().field("kind", "completed"),
-        JobOutcome::Retried { attempts } => Json::obj()
-            .field("kind", "retried")
-            .field("attempts", u64::from(*attempts)),
         JobOutcome::Panicked { message } => Json::obj()
             .field("kind", "panicked")
             .field("message", message.as_str()),
-        JobOutcome::TimedOut { timeout } => Json::obj()
-            .field("kind", "timed_out")
-            .field("timeout_s", timeout.as_secs_f64()),
         JobOutcome::Rejected { reason } => Json::obj()
             .field("kind", "rejected")
             .field("reason", reason.as_str()),
@@ -124,8 +117,8 @@ impl RunReport {
         );
     }
 
-    /// Records one matrix job: its real outcome (completed / retried /
-    /// panicked / timed out), worker wall-clock, and — when it produced
+    /// Records one matrix job: its real outcome (completed / panicked /
+    /// rejected / skipped), worker wall-clock, and — when it produced
     /// one — the experiment result.
     pub fn add_job(
         &mut self,
@@ -165,7 +158,7 @@ impl RunReport {
     }
 
     /// Attaches the matrix footer data (throughput, audit coverage,
-    /// degradation counts, phase totals). Cache-durability counters are
+    /// failure count, phase totals). Cache-durability counters are
     /// emitted only when nonzero so a healthy run's report stays
     /// byte-identical to previous releases (and cold/warm runs over a
     /// cache still compare equal).
@@ -176,7 +169,6 @@ impl RunReport {
             .field("elapsed_ms", ms(report.elapsed))
             .field("audited_jobs", report.audited_jobs)
             .field("audit_violations", report.audit_violations)
-            .field("retried_jobs", report.retried_jobs)
             .field("failed_jobs", report.failed_jobs);
         if report.cache_write_errors > 0 {
             matrix = matrix.field("cache_write_errors", report.cache_write_errors);
@@ -202,24 +194,17 @@ impl RunReport {
     /// needed) or the current directory, and returns the path. Returns
     /// `None` — with a diagnostic on stderr — only on I/O failure.
     pub fn write(&self) -> Option<PathBuf> {
-        self.write_with(&crate::vfs::RealVfs)
-    }
-
-    /// [`RunReport::write`] over an explicit [`Vfs`] backend, so report
-    /// persistence is covered by the injected-fault tests: a report that
-    /// cannot be written is a diagnostic, never a panic.
-    pub fn write_with(&self, vfs: &dyn Vfs) -> Option<PathBuf> {
         let dir = std::env::var_os("PRF_REPORT_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from("."));
-        if let Err(e) = vfs.create_dir_all(&dir) {
+        if let Err(e) = std::fs::create_dir_all(&dir) {
             eprintln!("PRF_REPORT_DIR: cannot create {}: {e}", dir.display());
             return None;
         }
         let path = dir.join(format!("BENCH_{}.json", safe_file_name(&self.bench)));
         let mut body = self.to_json().to_json();
         body.push('\n');
-        match vfs.write_file(&path, body.as_bytes()) {
+        match std::fs::write(&path, body) {
             Ok(()) => {
                 eprintln!("wrote {}", path.display());
                 Some(path)
@@ -250,18 +235,6 @@ mod tests {
 
     #[test]
     fn outcomes_serialize_with_their_detail() {
-        assert_eq!(
-            outcome_json(&JobOutcome::Retried { attempts: 3 })
-                .get("attempts")
-                .unwrap()
-                .as_u64(),
-            Some(3)
-        );
-        let timed = outcome_json(&JobOutcome::TimedOut {
-            timeout: Duration::from_secs(5),
-        });
-        assert_eq!(timed.get("kind").unwrap().as_str(), Some("timed_out"));
-        assert_eq!(timed.get("timeout_s").unwrap().as_f64(), Some(5.0));
         let panicked = outcome_json(&JobOutcome::Panicked {
             message: "boom".into(),
         });

@@ -7,7 +7,7 @@
 //! dynamic and leakage energy. This binary quantifies that argument on
 //! the benchmark suite.
 
-use prf_bench::{experiment_gpu, geomean, header, mean, run_workload_averaged, SingleRunReporter};
+use prf_bench::{experiment_gpu, geomean, header, mean, run_cells_reported, Cell};
 use prf_core::{DrowsyConfig, LeakageModel, PartitionedRfConfig, RfKind};
 use prf_sim::SchedulerPolicy;
 
@@ -23,32 +23,34 @@ fn main() {
         gpu.max_warps_per_sm,
     ));
     let part = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
+    // The whole comparison as one parallel matrix: baseline, drowsy and
+    // partitioned per workload, results chunked back per workload below.
+    let suite = prf_workloads::suite();
+    let cells: Vec<Cell> = suite
+        .iter()
+        .flat_map(|w| [&RfKind::MrfStv, &drowsy, &part].map(|rf| Cell::new(w, &gpu, rf)))
+        .collect();
+    let (results, report, mut run_report) = run_cells_reported("compare_drowsy", &cells, SEEDS);
 
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>12}",
         "workload", "drowsy dyn", "part dyn", "drowsy time", "part time"
     );
     let (mut d_dyn, mut p_dyn, mut d_t, mut p_t) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    let mut reporter = SingleRunReporter::new("compare_drowsy");
-    for w in prf_workloads::suite() {
-        let base = run_workload_averaged(&w, &gpu, &RfKind::MrfStv, SEEDS);
-        let d = run_workload_averaged(&w, &gpu, &drowsy, SEEDS);
-        let p = run_workload_averaged(&w, &gpu, &part, SEEDS);
-        reporter.add(&format!("{}/mrf_stv", w.name), &base.result);
-        reporter.add(&format!("{}/drowsy", w.name), &d.result);
-        reporter.add(&format!("{}/partitioned", w.name), &p.result);
+    for (w, r) in suite.iter().zip(results.chunks(3)) {
+        let (base, d, p) = (&r[0], &r[1], &r[2]);
         println!(
             "{:<12} {:>11.1}% {:>11.1}% {:>12.3} {:>12.3}",
             w.name,
             100.0 * d.dynamic_saving(),
             100.0 * p.dynamic_saving(),
-            d.normalized_time(&base),
-            p.normalized_time(&base)
+            d.normalized_time(base),
+            p.normalized_time(base)
         );
         d_dyn.push(d.dynamic_saving());
         p_dyn.push(p.dynamic_saving());
-        d_t.push(d.normalized_time(&base));
-        p_t.push(p.normalized_time(&base));
+        d_t.push(d.normalized_time(base));
+        p_t.push(p.normalized_time(base));
     }
     println!("{:-<64}", "");
     println!(
@@ -76,17 +78,11 @@ fn main() {
     println!("Drowsy's dynamic saving is ~0 by construction (every access still runs");
     println!("the full STV array); the partitioned RF saves both. This is the paper's");
     println!("§VI argument for partitioning over power-gating/drowsy approaches.");
-    reporter
-        .report
-        .add_metric("mean_drowsy_dynamic_saving", mean(&d_dyn));
-    reporter
-        .report
-        .add_metric("mean_part_dynamic_saving", mean(&p_dyn));
-    reporter
-        .report
-        .add_metric("geomean_drowsy_time", geomean(&d_t));
-    reporter
-        .report
-        .add_metric("geomean_part_time", geomean(&p_t));
-    reporter.finish();
+    println!();
+    println!("{}", report.footer());
+    run_report.add_metric("mean_drowsy_dynamic_saving", mean(&d_dyn));
+    run_report.add_metric("mean_part_dynamic_saving", mean(&p_dyn));
+    run_report.add_metric("geomean_drowsy_time", geomean(&d_t));
+    run_report.add_metric("geomean_part_time", geomean(&p_t));
+    run_report.write();
 }

@@ -5,7 +5,7 @@
 //! adds one cycle to the register access pipeline then the overall
 //! performance overhead is still less than 1%."
 
-use prf_bench::{experiment_gpu, geomean, header, run_workload_averaged, SingleRunReporter};
+use prf_bench::{experiment_gpu, geomean, header, run_cells_reported, Cell};
 use prf_core::{PartitionedRfConfig, RfKind};
 use prf_sim::SchedulerPolicy;
 
@@ -16,23 +16,28 @@ fn main() {
     );
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
     const SEEDS: u64 = 3;
+    let [integrated, extra] = [false, true].map(|swap_table_extra_cycle| {
+        RfKind::Partitioned(PartitionedRfConfig {
+            swap_table_extra_cycle,
+            ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
+        })
+    });
+    // The whole table as one parallel matrix: both pipelinings per
+    // workload, results chunked back per workload below.
+    let suite = prf_workloads::suite();
+    let cells: Vec<Cell> = suite
+        .iter()
+        .flat_map(|w| [&integrated, &extra].map(|rf| Cell::new(w, &gpu, rf)))
+        .collect();
+    let (results, report, mut run_report) = run_cells_reported("sens_swap_table", &cells, SEEDS);
+
     let mut cycles = [Vec::new(), Vec::new()];
-    let mut reporter = SingleRunReporter::new("sens_swap_table");
     println!("{:<12} {:>12} {:>12}", "workload", "integrated", "+1 cycle");
-    for w in prf_workloads::suite() {
-        let mut row = [0.0f64; 2];
-        for (i, extra) in [false, true].into_iter().enumerate() {
-            let cfg = PartitionedRfConfig {
-                swap_table_extra_cycle: extra,
-                ..PartitionedRfConfig::paper_default(gpu.num_rf_banks)
-            };
-            let r = run_workload_averaged(&w, &gpu, &RfKind::Partitioned(cfg), SEEDS);
-            let label = if extra { "+1cycle" } else { "integrated" };
-            reporter.add(&format!("{}/{label}", w.name), &r.result);
-            row[i] = r.cycles as f64;
-            cycles[i].push(r.cycles as f64);
-        }
-        println!("{:<12} {:>12.3} {:>12.3}", w.name, 1.0, row[1] / row[0]);
+    for (w, r) in suite.iter().zip(results.chunks(2)) {
+        let (c0, c1) = (r[0].cycles as f64, r[1].cycles as f64);
+        println!("{:<12} {:>12.3} {:>12.3}", w.name, 1.0, c1 / c0);
+        cycles[0].push(c0);
+        cycles[1].push(c1);
     }
     let g0 = geomean(&cycles[0]);
     let g1 = geomean(&cycles[1]);
@@ -43,8 +48,8 @@ fn main() {
         1.0,
         g1 / g0
     );
-    reporter
-        .report
-        .add_metric("geomean_extra_cycle_overhead", g1 / g0);
-    reporter.finish();
+    println!();
+    println!("{}", report.footer());
+    run_report.add_metric("geomean_extra_cycle_overhead", g1 / g0);
+    run_report.write();
 }

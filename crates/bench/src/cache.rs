@@ -63,25 +63,24 @@ use prf_sim::{AuditReport, PartitionAccessCounts, RegisterAccessHistogram, SimRe
 
 use crate::digest::Sha256;
 use crate::json::Json;
-use crate::runner::{Job, JobOutcome};
+use crate::runner::Job;
 use crate::vfs::{self, Vfs};
 
 /// Version of the on-disk entry layout. Bump on any change to the entry
 /// JSON shape; old entries are then ignored (treated as misses).
 /// v2 added the `sha256=` checksum footer — v1 entries have none, so
-/// they classify as stale (a miss), not corrupt.
-pub const CACHE_SCHEMA_VERSION: u64 = 2;
+/// they classify as stale (a miss), not corrupt. v3 dropped the
+/// `attempts` field (the runner makes one attempt per job).
+pub const CACHE_SCHEMA_VERSION: u64 = 3;
 
 /// Name of the quarantine subdirectory for corrupt entries.
 pub const QUARANTINE_DIR: &str = "corrupt";
 
-/// A cached job outcome: everything the matrix runner needs to replay the
-/// job bit-identically without simulating.
+/// A cached job result: everything the matrix runner needs to replay the
+/// job bit-identically without simulating. Only successful runs are
+/// stored, so a hit is always a completed job.
 #[derive(Debug)]
 pub struct CachedOutcome {
-    /// The outcome of the run that produced the entry (`Completed` or
-    /// `Retried` — failures are never cached).
-    pub outcome: JobOutcome,
     /// Worker wall-clock of the original run, replayed so `BENCH_*.json`
     /// job records are bit-identical between cold and warm runs.
     pub elapsed: Duration,
@@ -276,22 +275,13 @@ impl ResultCache {
         if doc.get("rf")?.as_str()? != rf_name {
             return None;
         }
-        let attempts = doc.get("attempts")?.as_u64()?;
-        let outcome = if attempts <= 1 {
-            JobOutcome::Completed
-        } else {
-            JobOutcome::Retried {
-                attempts: u32::try_from(attempts).ok()?,
-            }
-        };
         Some(CachedOutcome {
-            outcome,
             elapsed: Duration::from_nanos(doc.get("elapsed_ns")?.as_u64()?),
             result: result_from_json(doc.get("result")?, rf_name)?,
         })
     }
 
-    /// Stores a successful job result. Returns `false` (without writing)
+    /// Stores a successful job's result. Returns `false` (without writing)
     /// when the result is not exactly round-trippable — observability
     /// payloads present, or a non-clean audit — or on I/O failure (with a
     /// diagnostic; a broken cache must not fail the run).
@@ -299,24 +289,17 @@ impl ResultCache {
         &self,
         digest: &str,
         job: &Job,
-        outcome: &JobOutcome,
         elapsed: Duration,
         result: &ExperimentResult,
     ) -> bool {
         if !Self::is_cacheable(job) || !result_is_storable(result) {
             return false;
         }
-        let attempts = match outcome {
-            JobOutcome::Completed => 1,
-            JobOutcome::Retried { attempts } => u64::from(*attempts),
-            _ => return false,
-        };
         let doc = Json::obj()
             .field("cache_schema_version", CACHE_SCHEMA_VERSION)
             .field("digest", digest)
             .field("job_name", job.name.as_str())
             .field("rf", job.rf.name())
-            .field("attempts", attempts)
             .field(
                 "elapsed_ns",
                 u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
@@ -769,9 +752,8 @@ mod tests {
         let (job, elapsed, result) = run_job(0, true);
         let digest = job_digest(&job);
         assert!(cache.load(&digest, &job).is_none(), "cold cache is empty");
-        assert!(cache.store(&digest, &job, &JobOutcome::Completed, elapsed, &result));
+        assert!(cache.store(&digest, &job, elapsed, &result));
         let hit = cache.load(&digest, &job).expect("entry stored");
-        assert_eq!(hit.outcome, JobOutcome::Completed);
         assert_eq!(hit.elapsed, elapsed);
         // Full structural equality: every counter, energy figure, phase
         // duration, audit counter, and telemetry value survives the disk
@@ -784,7 +766,7 @@ mod tests {
         let cache = temp_cache("seed_miss");
         let (job0, elapsed, result) = run_job(0, false);
         let digest0 = job_digest(&job0);
-        assert!(cache.store(&digest0, &job0, &JobOutcome::Completed, elapsed, &result));
+        assert!(cache.store(&digest0, &job0, elapsed, &result));
         let (job1, _, _) = run_job(1, false);
         let digest1 = job_digest(&job1);
         assert_ne!(digest0, digest1, "seed must be part of the digest");
@@ -802,13 +784,7 @@ mod tests {
         assert!(!ResultCache::is_cacheable(&warped));
         assert!(ResultCache::is_cacheable(&job));
         let cache = temp_cache("refuse");
-        assert!(!cache.store(
-            &job_digest(&traced),
-            &traced,
-            &JobOutcome::Completed,
-            elapsed,
-            &result
-        ));
+        assert!(!cache.store(&job_digest(&traced), &traced, elapsed, &result));
     }
 
     #[test]
@@ -816,7 +792,7 @@ mod tests {
         let cache = temp_cache("schema");
         let (job, elapsed, result) = run_job(0, false);
         let digest = job_digest(&job);
-        assert!(cache.store(&digest, &job, &JobOutcome::Completed, elapsed, &result));
+        assert!(cache.store(&digest, &job, elapsed, &result));
         let path = cache.entry_path(&digest);
         rewrite_body(&path, |body| {
             let bumped = body.replace(
@@ -839,7 +815,7 @@ mod tests {
         let cache = temp_cache("v1_stale");
         let (job, elapsed, result) = run_job(0, false);
         let digest = job_digest(&job);
-        assert!(cache.store(&digest, &job, &JobOutcome::Completed, elapsed, &result));
+        assert!(cache.store(&digest, &job, elapsed, &result));
         let path = cache.entry_path(&digest);
         // Strip the footer and claim schema v1: exactly what a pre-PR
         // entry looks like on disk.
@@ -859,7 +835,7 @@ mod tests {
         let cache = temp_cache("corrupt");
         let (job, elapsed, result) = run_job(0, false);
         let digest = job_digest(&job);
-        assert!(cache.store(&digest, &job, &JobOutcome::Completed, elapsed, &result));
+        assert!(cache.store(&digest, &job, elapsed, &result));
         let path = cache.entry_path(&digest);
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, &text[..text.len() / 2]).unwrap();
@@ -875,7 +851,7 @@ mod tests {
 
         // Quarantine + re-run repopulates: the slot is free again and a
         // fresh store round-trips.
-        assert!(cache.store(&digest, &job, &JobOutcome::Completed, elapsed, &result));
+        assert!(cache.store(&digest, &job, elapsed, &result));
         assert!(cache.load(&digest, &job).is_some());
         assert_eq!(
             fs::read_to_string(&path).unwrap(),
@@ -913,14 +889,14 @@ mod tests {
             fail_writes: true,
             ..FaultPlan::default()
         });
-        assert!(!cache.store(&digest, &job, &JobOutcome::Completed, elapsed, &result));
+        assert!(!cache.store(&digest, &job, elapsed, &result));
         assert_eq!(cache.write_errors(), 1, "ENOSPC counts");
 
         faulty.set_plan(FaultPlan {
             fail_rename: true,
             ..FaultPlan::default()
         });
-        assert!(!cache.store(&digest, &job, &JobOutcome::Completed, elapsed, &result));
+        assert!(!cache.store(&digest, &job, elapsed, &result));
         assert_eq!(cache.write_errors(), 2, "rename failure counts");
         assert!(
             cache.load(&digest, &job).is_none(),
@@ -928,37 +904,8 @@ mod tests {
         );
 
         faulty.revive();
-        assert!(cache.store(&digest, &job, &JobOutcome::Completed, elapsed, &result));
+        assert!(cache.store(&digest, &job, elapsed, &result));
         assert!(cache.load(&digest, &job).is_some(), "healed disk stores");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn retried_outcome_survives_the_round_trip() {
-        let cache = temp_cache("retried");
-        let (job, elapsed, result) = run_job(0, false);
-        let digest = job_digest(&job);
-        let outcome = JobOutcome::Retried { attempts: 3 };
-        assert!(cache.store(&digest, &job, &outcome, elapsed, &result));
-        let hit = cache.load(&digest, &job).expect("stored");
-        assert_eq!(hit.outcome, outcome);
-    }
-
-    #[test]
-    fn failures_are_never_stored() {
-        let cache = temp_cache("failures");
-        let (job, elapsed, result) = run_job(0, false);
-        let digest = job_digest(&job);
-        for outcome in [
-            JobOutcome::Panicked {
-                message: "boom".into(),
-            },
-            JobOutcome::TimedOut {
-                timeout: Duration::from_secs(1),
-            },
-        ] {
-            assert!(!cache.store(&digest, &job, &outcome, elapsed, &result));
-        }
-        assert!(cache.load(&digest, &job).is_none());
     }
 }

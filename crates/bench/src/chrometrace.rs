@@ -6,7 +6,7 @@
 //! * **runner spans** (pid 1): one complete ("X") event per matrix job,
 //!   timed in real microseconds from the matrix start, with the job's
 //!   phase profile (setup/simulate/energy/audit) as nested spans and its
-//!   retry/timeout outcome in the args; and
+//!   outcome in the args; and
 //! * **simulator events** (pid 2): the per-cycle pipeline trace
 //!   ([`prf_sim::TraceEvent`]) of every captured launch, with one
 //!   microsecond standing in for one GPU cycle and one track per SM.

@@ -198,9 +198,9 @@ impl Json {
 }
 
 /// Maximum container nesting depth [`Json::parse`] accepts. Real reports
-/// nest a handful of levels; the cap exists so untrusted input (the
-/// `prf-serve` wire protocol parses with this) cannot overflow the
-/// recursive-descent parser's stack.
+/// nest a handful of levels; the cap exists so untrusted input (a
+/// corrupt cache entry, say) cannot overflow the recursive-descent
+/// parser's stack.
 pub const MAX_PARSE_DEPTH: usize = 128;
 
 impl From<bool> for Json {
@@ -607,8 +607,8 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
-            /// Arbitrary byte strings — decoded lossily, as the serve
-            /// read path does — never panic the parser: every input is
+            /// Arbitrary byte strings — decoded lossily — never panic
+            /// the parser: every input is
             /// either parsed or rejected with an offset.
             #[test]
             fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {

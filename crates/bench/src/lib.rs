@@ -26,11 +26,9 @@ pub mod bench_report;
 pub mod cache;
 pub mod chrometrace;
 pub mod digest;
-pub mod journal;
 pub mod json;
 pub mod report;
 pub mod runner;
-pub mod serve;
 pub mod vfs;
 
 pub use bench_report::RunReport;
@@ -43,7 +41,7 @@ use prf_finfet::{FaultGeometry, FaultMap, SramCell};
 use prf_sim::{GpuConfig, SamplingConfig, SchedulerPolicy};
 use prf_workloads::Workload;
 
-use crate::runner::{Job, RetryPolicy};
+use crate::runner::{Job, MatrixOutcome, MatrixReport, RetryPolicy};
 
 /// True when the binary was invoked with `--audit`: opts every simulation
 /// into the conservation-invariant audit harness (`prf_sim::audit`). The
@@ -294,7 +292,7 @@ pub fn average_seed_results(results: &[ExperimentResult]) -> AveragedResult {
 }
 
 /// Builds the per-seed job list for one workload×RF cell, for batching
-/// many averaged cells into a single [`runner::run_matrix`] call. Every
+/// many averaged cells into a single [`run_cells_reported`] call. Every
 /// job carries the `--faults` campaign when one was requested (see
 /// [`campaign_faults`]).
 pub fn seed_jobs(w: &Workload, gpu: &GpuConfig, rf: &RfKind, seeds: u64) -> Vec<Job> {
@@ -310,24 +308,6 @@ pub fn seed_jobs(w: &Workload, gpu: &GpuConfig, rf: &RfKind, seeds: u64) -> Vec<
                 .with_faults(faults.clone())
         })
         .collect()
-}
-
-/// Runs one workload under an RF organisation with several jitter seeds —
-/// the simulation analogue of averaging repeated hardware runs, washing
-/// out timing-resonance noise — and returns the per-seed mean of *every*
-/// statistic plus the cycle min/max spread. Seeds are fanned out across
-/// the worker pool (see [`runner`]).
-pub fn run_workload_averaged(
-    w: &Workload,
-    gpu: &GpuConfig,
-    rf: &RfKind,
-    seeds: u64,
-) -> AveragedResult {
-    let results: Vec<ExperimentResult> = runner::run_matrix(&seed_jobs(w, gpu, rf, seeds))
-        .into_iter()
-        .map(|jr| jr.result)
-        .collect();
-    average_seed_results(&results)
 }
 
 /// One workload×configuration cell of an evaluation matrix.
@@ -354,60 +334,54 @@ impl Cell {
 }
 
 /// Runs a whole matrix of cells, each averaged over `seeds` jitter seeds,
-/// through one parallel [`runner::run_matrix_timed`] call. Returns the
-/// per-cell means in input order plus the wall-clock report for the
-/// binary's throughput footer.
+/// as one parallel matrix, with the observability layer attached. Returns
+/// the per-cell means in input order, the wall-clock report for the
+/// binary's throughput footer, and the `BENCH_<bench>.json` run report
+/// (per-seed-job outcomes, timings, energy, audit status plus the matrix
+/// footer data — see [`bench_report`]). Writes a Chrome trace when
+/// `--trace-out` was passed. Reporting only observes: the simulation
+/// results do not depend on it.
 ///
 /// This is the workhorse of the figure binaries: building every cell of a
 /// figure up front (rather than running cells one by one) lets the worker
-/// pool chew the entire figure concurrently.
-pub fn run_cells_averaged(
-    cells: &[Cell],
-    seeds: u64,
-) -> (Vec<AveragedResult>, runner::MatrixReport) {
-    assert!(seeds >= 1);
-    let jobs: Vec<Job> = cells
-        .iter()
-        .flat_map(|c| seed_jobs(&c.workload, &c.gpu, &c.rf, seeds))
-        .collect();
-    let (results, report) = runner::run_matrix_timed(&jobs);
-    let mut results = results.into_iter().map(|jr| jr.result);
-    let averaged = cells
-        .iter()
-        .map(|_| {
-            let per_seed: Vec<ExperimentResult> = results.by_ref().take(seeds as usize).collect();
-            average_seed_results(&per_seed)
-        })
-        .collect();
-    (averaged, report)
-}
-
-/// [`run_cells_averaged`] with the observability layer attached: runs the
-/// matrix, emits the `BENCH_<bench>.json` run report (per-seed-job
-/// outcomes, timings, energy, audit status plus the matrix footer data —
-/// see [`bench_report`]), writes a Chrome trace when `--trace-out` was
-/// passed, and *then* averages. The simulation results are identical to
-/// [`run_cells_averaged`] — reporting only observes.
+/// pool chew the entire figure concurrently. It is also the one place the
+/// harness reads the runner's environment: `PRF_THREADS`, `PRF_SHARD` and
+/// `PRF_CACHE_DIR`.
 ///
 /// The returned [`RunReport`] still accepts metrics/tables; binaries add
 /// their figure-specific numbers and call [`RunReport::write`] at the end.
 ///
+/// A `PRF_SHARD` run computes (and caches) its slice of the matrix, writes
+/// its partial report, prints the footer and exits 0: averaging needs the
+/// full set, and merging is a later unsharded run over the shared
+/// `PRF_CACHE_DIR`.
+///
 /// # Panics
 ///
-/// Like [`run_cells_averaged`], panics (after writing the report, so
-/// failures are still on record) when any job fails beyond the retry
-/// budget.
+/// Panics (after writing the report, so failures are still on record)
+/// when any job fails.
 pub fn run_cells_reported(
     bench: &str,
     cells: &[Cell],
     seeds: u64,
-) -> (Vec<AveragedResult>, runner::MatrixReport, RunReport) {
+) -> (Vec<AveragedResult>, MatrixReport, RunReport) {
     assert!(seeds >= 1);
     let jobs: Vec<Job> = cells
         .iter()
         .flat_map(|c| seed_jobs(&c.workload, &c.gpu, &c.rf, seeds))
         .collect();
-    let (outcome, report) = runner::run_matrix_resilient_timed(&jobs, RetryPolicy::from_env());
+    let threads = runner::threads_from_env();
+    let shard = runner::shard_from_env();
+    let cache = cache::ResultCache::from_env();
+    let t0 = std::time::Instant::now();
+    let outcome = runner::run_matrix_resilient_configured(
+        &jobs,
+        RetryPolicy::none(),
+        threads,
+        shard,
+        cache.as_ref(),
+    );
+    let report = MatrixReport::new(&outcome, threads, t0.elapsed(), cache.as_ref());
 
     let mut run_report = RunReport::new(bench);
     for jr in &outcome.reports {
@@ -426,19 +400,14 @@ pub fn run_cells_reported(
     }
 
     if outcome.failed_jobs() > 0 {
-        // Persist what we have before re-raising, so a crashed matrix
+        // Persist what we have before re-raising, so a failed matrix
         // still leaves a diffable record of which jobs died and how.
         run_report.write();
-    }
-    if outcome.skipped_jobs() > 0 && outcome.failed_jobs() == 0 {
-        // A PRF_SHARD run: this process computed (and cached) its slice
-        // of the matrix; averaging needs the full set, so persist the
-        // partial report and stop here. Merging is a subsequent unsharded
-        // run over the shared PRF_CACHE_DIR.
+    } else if let Some(spec) = shard {
         run_report.write();
-        runner::exit_if_shard_run(&outcome, Some(&report));
+        exit_shard_run(spec, &outcome, &report);
     }
-    let mut results = outcome.expect_complete().into_iter().map(|jr| jr.result);
+    let mut results = outcome.expect_complete().into_iter();
     let averaged = cells
         .iter()
         .map(|_| {
@@ -447,6 +416,22 @@ pub fn run_cells_reported(
         })
         .collect();
     (averaged, report, run_report)
+}
+
+/// Ends a shard run that completed its slice: prints the footer and a
+/// merge hint, then exits 0.
+fn exit_shard_run(spec: runner::ShardSpec, outcome: &MatrixOutcome, report: &MatrixReport) -> ! {
+    println!("{}", report.footer());
+    let skipped = outcome.skipped_jobs();
+    eprintln!(
+        "[shard {}/{}] executed {} of {} jobs ({skipped} owned by other shards); \
+         merge by re-running unsharded with the same PRF_CACHE_DIR",
+        spec.index,
+        spec.count,
+        outcome.reports.len() - skipped,
+        outcome.reports.len()
+    );
+    std::process::exit(0);
 }
 
 /// The observability wrapper for single-run binaries: a [`RunReport`] to

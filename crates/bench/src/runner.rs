@@ -13,26 +13,19 @@
 //! be overridden with the `PRF_THREADS` environment variable (`PRF_THREADS=1`
 //! gives a serial run for debugging or timing baselines).
 //!
-//! The engine is crash-proof: each job attempt runs behind
-//! `catch_unwind`, optionally under a wall-clock watchdog
-//! (`PRF_JOB_TIMEOUT_SECS`) and with bounded retry-with-backoff
-//! (`PRF_JOB_RETRIES` / `PRF_RETRY_BACKOFF_MS`). The resilient entry
-//! points ([`run_matrix_resilient`]) always return a [`JobOutcome`] for
-//! every job — partial results plus a failure manifest — while the
-//! classic [`run_matrix`] keeps its all-or-nothing contract and re-raises
-//! the first failure with the job's index and name.
-//!
-//! Failures are classified before the retry budget is spent: a job whose
-//! inputs the validation layer rejects — or whose run returns a
-//! *deterministic* [`SimError`] — fails fast as [`JobOutcome::Rejected`]
-//! (retrying a pure function of its inputs can only waste the budget),
-//! while panics and watchdog timeouts keep the full retry-with-backoff
-//! treatment. Invalid jobs are rejected up front, before a worker spawns
-//! an attempt thread or arms the watchdog.
+//! A job is a pure function of its inputs, so the engine makes exactly one
+//! attempt per job. Each attempt runs behind `catch_unwind`, and
+//! [`run_matrix_resilient_configured`] returns a [`JobOutcome`] for every
+//! job — partial results plus a failure manifest. Inputs the validation
+//! layer rejects, and runs that return a [`SimError`], come back as
+//! [`JobOutcome::Rejected`]; panics come back as [`JobOutcome::Panicked`].
+//! There is no wall-clock watchdog: a runaway kernel is stopped by
+//! `GpuConfig::max_cycles`, which turns it into
+//! [`SimError::CycleLimitExceeded`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use prf_core::{
@@ -93,8 +86,8 @@ impl Job {
     }
 
     /// Validates the job's inputs without simulating anything — the same
-    /// checks `run` performs first, exposed so callers (the matrix engine,
-    /// `prf-serve`) can reject hostile jobs before committing a worker.
+    /// checks `run` performs first, exposed so the matrix engine can
+    /// reject hostile jobs before simulating.
     ///
     /// # Errors
     ///
@@ -118,28 +111,15 @@ impl Job {
 /// How one matrix job ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobOutcome {
-    /// Finished on the first attempt.
+    /// Finished with a result.
     Completed,
-    /// Finished, but only after retries (`attempts` ≥ 2 counts every
-    /// attempt including the successful one).
-    Retried {
-        /// Total attempts made.
-        attempts: u32,
-    },
-    /// Every attempt panicked; `message` carries the last panic payload.
+    /// The run panicked; `message` carries the panic payload.
     Panicked {
-        /// Stringified panic payload of the final attempt.
+        /// Stringified panic payload.
         message: String,
     },
-    /// The final attempt exceeded the wall-clock watchdog.
-    TimedOut {
-        /// The watchdog budget that was exceeded.
-        timeout: Duration,
-    },
     /// The job's inputs were rejected by the validation layer, or the run
-    /// returned a deterministic [`SimError`]. A rejection is a pure
-    /// function of the job's inputs, so it fails fast: no retries, no
-    /// watchdog, and (for pre-validated jobs) no attempt thread at all.
+    /// returned a [`SimError`] (for example a cycle-limit overrun).
     Rejected {
         /// The typed error, stringified for the report.
         reason: String,
@@ -150,14 +130,9 @@ pub enum JobOutcome {
 }
 
 impl JobOutcome {
-    /// True when the job produced a result (possibly after retries).
-    pub fn succeeded(&self) -> bool {
-        matches!(self, JobOutcome::Completed | JobOutcome::Retried { .. })
-    }
-
-    /// True when the job needed retries or failed outright — anything a
-    /// campaign report should flag. Skipped (sharded-away) jobs are not
-    /// degraded; another process computes them.
+    /// True when the job failed — anything a campaign report should flag.
+    /// Skipped (sharded-away) jobs are not failures; another process
+    /// computes them.
     pub fn is_degraded(&self) -> bool {
         !matches!(self, JobOutcome::Completed | JobOutcome::Skipped)
     }
@@ -167,11 +142,7 @@ impl std::fmt::Display for JobOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobOutcome::Completed => write!(f, "completed"),
-            JobOutcome::Retried { attempts } => write!(f, "completed after {attempts} attempts"),
             JobOutcome::Panicked { message } => write!(f, "panicked: {message}"),
-            JobOutcome::TimedOut { timeout } => {
-                write!(f, "timed out after {:.1} s", timeout.as_secs_f64())
-            }
             JobOutcome::Rejected { reason } => write!(f, "rejected: {reason}"),
             JobOutcome::Skipped => write!(f, "skipped (owned by another shard)"),
         }
@@ -235,65 +206,22 @@ pub fn shard_from_env() -> Option<ShardSpec> {
     }
 }
 
-/// Watchdog and retry budget for one matrix run.
+/// Kept only because the repository benchmark (`perfbench/`) names it in
+/// its calls into this module. The engine makes one attempt per job, with
+/// no watchdog and no retries, so the policy carries nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Wall-clock budget per attempt; `None` disables the watchdog (the
-    /// attempt runs inline on the worker thread).
-    pub timeout: Option<Duration>,
-    /// Retries after the first attempt (0 = single attempt).
-    pub retries: u32,
-    /// Base back-off between attempts (attempt `n` waits `n × backoff`).
-    pub backoff: Duration,
-}
+#[non_exhaustive]
+pub struct RetryPolicy;
 
 impl RetryPolicy {
-    /// Single attempt, no watchdog — the classic engine behaviour.
+    /// The only policy: a single attempt.
     pub fn none() -> Self {
-        RetryPolicy {
-            timeout: None,
-            retries: 0,
-            backoff: Duration::ZERO,
-        }
-    }
-
-    /// Policy from the environment: `PRF_JOB_TIMEOUT_SECS` (unset or 0
-    /// disables the watchdog), `PRF_JOB_RETRIES` (default 0) and
-    /// `PRF_RETRY_BACKOFF_MS` (default 100).
-    pub fn from_env() -> Self {
-        fn parse_env(key: &str) -> Option<u64> {
-            let v = std::env::var(key).ok()?;
-            match v.trim().parse::<u64>() {
-                Ok(n) => Some(n),
-                Err(_) => {
-                    eprintln!("{key}={v:?} is not a non-negative integer; ignoring");
-                    None
-                }
-            }
-        }
-        RetryPolicy {
-            timeout: parse_env("PRF_JOB_TIMEOUT_SECS")
-                .filter(|&s| s > 0)
-                .map(Duration::from_secs),
-            retries: parse_env("PRF_JOB_RETRIES")
-                .unwrap_or(0)
-                .min(u32::MAX as u64) as u32,
-            backoff: Duration::from_millis(parse_env("PRF_RETRY_BACKOFF_MS").unwrap_or(100)),
-        }
-    }
-
-    /// Back-off to sleep before retry `attempt_no` (1-based): linear
-    /// `attempt_no × backoff`, saturating at `Duration::MAX`. The naive
-    /// `backoff * attempt_no` panics on overflow, so a campaign run with
-    /// huge `PRF_RETRY_BACKOFF_MS` × `PRF_JOB_RETRIES` values would crash
-    /// the worker instead of retrying.
-    pub fn backoff_delay(&self, attempt_no: u32) -> Duration {
-        self.backoff.saturating_mul(attempt_no)
+        RetryPolicy
     }
 }
 
-/// One job's report in a resilient matrix run: its input position, label,
-/// how it ended, and the result when it succeeded.
+/// One job's report in a matrix run: its input position, label, how it
+/// ended, and the result when it succeeded.
 #[derive(Debug)]
 pub struct JobReport {
     /// Position in the input job list.
@@ -305,9 +233,9 @@ pub struct JobReport {
     /// When this job started, as an offset from the matrix start (jobs
     /// run concurrently, so offsets overlap).
     pub started: Duration,
-    /// Wall-clock time this job occupied its worker (all attempts,
-    /// including backoff sleeps). For a cache hit this replays the
-    /// *original* run's wall-clock, so reports stay bit-identical.
+    /// Wall-clock time this job occupied its worker. For a cache hit this
+    /// replays the *original* run's wall-clock, so reports stay
+    /// bit-identical.
     pub elapsed: Duration,
     /// The experiment result; `None` iff the outcome is a failure or the
     /// job was skipped by sharding.
@@ -319,7 +247,7 @@ pub struct JobReport {
 }
 
 /// The partial-results view of a matrix run: one [`JobReport`] per input
-/// job, in input order, no matter how many jobs crashed or hung.
+/// job, in input order, no matter how many jobs failed.
 #[derive(Debug)]
 pub struct MatrixOutcome {
     /// Per-job reports, in input order.
@@ -327,18 +255,10 @@ pub struct MatrixOutcome {
 }
 
 impl MatrixOutcome {
-    /// Reports of jobs that produced a result.
-    pub fn healthy(&self) -> impl Iterator<Item = &JobReport> {
-        self.reports.iter().filter(|r| r.result.is_some())
-    }
-
-    /// Reports of jobs that failed (panicked, timed out, or were rejected
-    /// by input validation). Jobs skipped by sharding are not failures —
-    /// another shard computes them.
+    /// Reports of jobs that failed (panicked or were rejected). Jobs
+    /// skipped by sharding are not failures — another shard computes them.
     pub fn failures(&self) -> impl Iterator<Item = &JobReport> {
-        self.reports
-            .iter()
-            .filter(|r| r.result.is_none() && r.outcome != JobOutcome::Skipped)
+        self.reports.iter().filter(|r| r.outcome.is_degraded())
     }
 
     /// Jobs skipped because another `PRF_SHARD` process owns them.
@@ -349,40 +269,30 @@ impl MatrixOutcome {
             .count()
     }
 
-    /// Jobs that needed retries but eventually succeeded.
-    pub fn retried_jobs(&self) -> usize {
-        self.reports
-            .iter()
-            .filter(|r| matches!(r.outcome, JobOutcome::Retried { .. }))
-            .count()
-    }
-
-    /// Jobs that failed outright.
+    /// Jobs that failed.
     pub fn failed_jobs(&self) -> usize {
         self.failures().count()
     }
 
-    /// Multi-line manifest of every non-`Completed` job (empty string when
-    /// the whole matrix completed cleanly on first attempts).
+    /// Multi-line manifest of every failed job (empty string when the
+    /// whole matrix completed cleanly).
     pub fn failure_manifest(&self) -> String {
-        self.reports
-            .iter()
-            .filter(|r| r.outcome.is_degraded())
+        self.failures()
             .map(|r| format!("job #{} `{}`: {}", r.index, r.name, r.outcome))
             .collect::<Vec<_>>()
             .join("\n")
     }
 
-    /// Converts to the all-or-nothing result list, panicking with the
-    /// failure manifest — first failure's index and name up front — if any
-    /// job failed.
+    /// Converts to the all-or-nothing result list (in input order),
+    /// panicking with the failure manifest — first failure's index and
+    /// name up front — if any job failed.
     ///
     /// # Panics
     ///
-    /// Panics when any job panicked, timed out, or was rejected, or when
-    /// the run was sharded (a shard never holds the complete result set —
-    /// merge by re-running unsharded against the shared `PRF_CACHE_DIR`).
-    pub fn expect_complete(self) -> Vec<JobResult> {
+    /// Panics when any job panicked or was rejected, or when the run was
+    /// sharded (a shard never holds the complete result set — merge by
+    /// re-running unsharded against the shared `PRF_CACHE_DIR`).
+    pub fn expect_complete(self) -> Vec<ExperimentResult> {
         if self.skipped_jobs() > 0 {
             panic!(
                 "sharded run is incomplete: {} of {} jobs were skipped by PRF_SHARD; \
@@ -391,40 +301,26 @@ impl MatrixOutcome {
                 self.reports.len()
             );
         }
-        if self.failed_jobs() > 0 {
-            let manifest = self.failure_manifest();
-            let first = self
-                .failures()
-                .next()
-                .expect("failed_jobs > 0 implies a failure");
+        if let Some(first) = self.failures().next() {
             panic!(
-                "experiment job #{} `{}` {}; full manifest:\n{manifest}",
-                first.index, first.name, first.outcome
+                "experiment job #{} `{}` {}; full manifest:\n{}",
+                first.index,
+                first.name,
+                first.outcome,
+                self.failure_manifest()
             );
         }
         self.reports
             .into_iter()
-            .map(|r| JobResult {
-                name: r.name,
-                result: r.result.expect("no failures, so every job has a result"),
-            })
+            .map(|r| r.result.expect("no failures, so every job has a result"))
             .collect()
     }
 }
 
-/// One completed matrix cell, in the same position as its input [`Job`].
-#[derive(Debug)]
-pub struct JobResult {
-    /// The job's label, copied through for reports.
-    pub name: String,
-    /// The experiment outcome.
-    pub result: ExperimentResult,
-}
-
 /// Wall-clock accounting for one matrix run, for the throughput footer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MatrixReport {
-    /// Number of jobs executed.
+    /// Number of jobs in the matrix.
     pub jobs: usize,
     /// Worker threads used.
     pub threads: usize,
@@ -434,9 +330,7 @@ pub struct MatrixReport {
     pub audited_jobs: usize,
     /// Total audit violations across all audited jobs (expected 0).
     pub audit_violations: usize,
-    /// Jobs that succeeded only after retries.
-    pub retried_jobs: usize,
-    /// Jobs that failed outright (panicked or timed out).
+    /// Jobs that failed (panicked or were rejected).
     pub failed_jobs: usize,
     /// Jobs answered from the on-disk result cache (no simulation ran).
     pub cache_hits: usize,
@@ -458,6 +352,45 @@ pub struct MatrixReport {
 }
 
 impl MatrixReport {
+    /// Summarises a finished matrix run on `threads` workers that took
+    /// `elapsed`, folding in the durability counters of the `cache` it
+    /// ran against.
+    pub fn new(
+        outcome: &MatrixOutcome,
+        threads: usize,
+        elapsed: Duration,
+        cache: Option<&ResultCache>,
+    ) -> Self {
+        let results = || outcome.reports.iter().filter_map(|r| r.result.as_ref());
+        let audits: Vec<_> = results().filter_map(|r| r.audit.as_ref()).collect();
+        let mut phase_totals = PhaseTimings::default();
+        for r in results() {
+            phase_totals.merge(&r.phases);
+        }
+        let cached = |hit| {
+            outcome
+                .reports
+                .iter()
+                .filter(|r| r.cached == Some(hit))
+                .count()
+        };
+        let jobs = outcome.reports.len();
+        MatrixReport {
+            jobs,
+            threads: threads.clamp(1, jobs.max(1)),
+            elapsed,
+            audited_jobs: audits.len(),
+            audit_violations: audits.iter().map(|a| a.violations.len()).sum(),
+            failed_jobs: outcome.failed_jobs(),
+            cache_hits: cached(true),
+            cache_misses: cached(false),
+            skipped_jobs: outcome.skipped_jobs(),
+            cache_write_errors: cache.map_or(0, |c| c.write_errors() as usize),
+            cache_quarantined: cache.map_or(0, |c| c.quarantined() as usize),
+            phase_totals,
+        }
+    }
+
     /// One-line throughput footer, e.g.
     /// `[matrix] 45 jobs on 8 threads in 12.3 s (3.7 jobs/s)`.
     pub fn footer(&self) -> String {
@@ -473,11 +406,8 @@ impl MatrixReport {
         } else {
             String::new()
         };
-        let degraded = if self.retried_jobs > 0 || self.failed_jobs > 0 {
-            format!(
-                " [degraded: {} retried, {} failed]",
-                self.retried_jobs, self.failed_jobs
-            )
+        let failed = if self.failed_jobs > 0 {
+            format!(" [failed: {} jobs]", self.failed_jobs)
         } else {
             String::new()
         };
@@ -513,7 +443,7 @@ impl MatrixReport {
             String::new()
         };
         format!(
-            "[matrix] {} jobs on {} threads in {:.2} s ({:.1} jobs/s){audit}{degraded}{cache}{shard}{phases}",
+            "[matrix] {} jobs on {} threads in {:.2} s ({:.1} jobs/s){audit}{failed}{cache}{shard}{phases}",
             self.jobs, self.threads, secs, rate
         )
     }
@@ -545,288 +475,54 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A watchdog attempt's message: the generation (attempt ordinal) that
-/// produced it plus the attempt's outcome — the inner `Result` is the
-/// attempt's own return value, the outer `Err` a stringified panic.
-type AttemptMsg = (u32, Result<Result<ExperimentResult, SimError>, String>);
-
-/// Folds one finished attempt into the engine's failure taxonomy:
-/// deterministic [`SimError`]s fail fast as [`JobOutcome::Rejected`];
-/// panics (and any future non-deterministic error) stay retryable.
-fn classify_attempt(
-    finished: Result<Result<ExperimentResult, SimError>, String>,
-) -> Result<ExperimentResult, JobOutcome> {
-    match finished {
-        Ok(Ok(result)) => Ok(result),
-        Ok(Err(e)) if e.is_deterministic() => Err(JobOutcome::Rejected {
-            reason: e.to_string(),
-        }),
-        Ok(Err(e)) => Err(JobOutcome::Panicked {
-            message: e.to_string(),
-        }),
-        Err(message) => Err(JobOutcome::Panicked { message }),
-    }
-}
-
-/// Runs one attempt, catching panics; with a watchdog the attempt runs on
-/// a detached thread and is abandoned (not killed — the thread keeps
-/// spinning until the process exits) when the budget elapses.
+/// Runs one job attempt behind `catch_unwind` and classifies how it
+/// ended. Never panics: the closure's own panics become
+/// [`JobOutcome::Panicked`], and a deterministic [`SimError`] becomes
+/// [`JobOutcome::Rejected`].
 ///
-/// All attempts of one job share a single channel, so an abandoned
-/// attempt that completes *later* can still deliver its message while a
-/// retry is waiting. Every message therefore carries the generation that
-/// produced it; messages from older generations are discarded, so a
-/// timed-out-then-retried job can never report (or cache) the stale
-/// attempt's result.
-fn run_attempt<F>(
-    attempt: &F,
-    timeout: Option<Duration>,
-    generation: u32,
-    tx: &mpsc::Sender<AttemptMsg>,
-    rx: &mpsc::Receiver<AttemptMsg>,
-) -> Result<ExperimentResult, JobOutcome>
-where
-    F: Fn() -> Result<ExperimentResult, SimError> + Clone + Send + 'static,
-{
-    match timeout {
-        None => classify_attempt(catch_unwind(AssertUnwindSafe(attempt)).map_err(panic_message)),
-        Some(budget) => {
-            let attempt = attempt.clone();
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(&attempt)).map_err(panic_message);
-                // The receiver may have given up already; that's fine.
-                let _ = tx.send((generation, outcome));
-            });
-            let deadline = Instant::now() + budget;
-            loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(remaining) {
-                    // A previous, abandoned attempt finally finished.
-                    // Its result is stale — the watchdog already declared
-                    // that generation timed out — so drop it and keep
-                    // waiting for the current attempt.
-                    Ok((gen, _)) if gen != generation => continue,
-                    Ok((_, finished)) => return classify_attempt(finished),
-                    Err(_) => return Err(JobOutcome::TimedOut { timeout: budget }),
-                }
-            }
-        }
-    }
-}
-
-/// Runs one job attempt-by-attempt under a [`RetryPolicy`]: up to
-/// `1 + retries` attempts, sleeping `attempt × backoff` between them.
-/// Never panics — the closure's own panics become [`JobOutcome::Panicked`].
-///
-/// Failures are classified: an attempt that *returns* a deterministic
-/// [`SimError`] is [`JobOutcome::Rejected`] and ends the job immediately
-/// (re-running a pure function of the inputs cannot change the answer),
-/// while panics and watchdog timeouts spend the full retry budget.
-///
-/// Generic over the attempt closure so tests can inject panicking, hanging
-/// or flaky work; matrix runs pass an owned [`Job`] clone.
+/// Generic over the attempt so callers can wrap the simulation (the
+/// benchmark's traced pass does); matrix runs pass `|| job.run()`.
 pub fn run_resilient_job<F>(
-    policy: RetryPolicy,
+    _policy: RetryPolicy,
     attempt: F,
 ) -> (JobOutcome, Option<ExperimentResult>)
 where
-    F: Fn() -> Result<ExperimentResult, SimError> + Clone + Send + 'static,
+    F: FnOnce() -> Result<ExperimentResult, SimError>,
 {
-    let mut last_failure = None;
-    // One channel for every attempt of this job: abandoned watchdog
-    // threads keep a sender clone, and their late messages are filtered
-    // out by generation in `run_attempt`.
-    let (tx, rx) = mpsc::channel();
-    for attempt_no in 0..=policy.retries {
-        if attempt_no > 0 && !policy.backoff.is_zero() {
-            std::thread::sleep(policy.backoff_delay(attempt_no));
-        }
-        match run_attempt(&attempt, policy.timeout, attempt_no, &tx, &rx) {
-            Ok(result) => {
-                let outcome = if attempt_no == 0 {
-                    JobOutcome::Completed
-                } else {
-                    JobOutcome::Retried {
-                        attempts: attempt_no + 1,
-                    }
-                };
-                return (outcome, Some(result));
-            }
-            Err(failure) => {
-                let fail_fast = matches!(failure, JobOutcome::Rejected { .. });
-                last_failure = Some(failure);
-                if fail_fast {
-                    break;
-                }
-            }
-        }
+    match catch_unwind(AssertUnwindSafe(attempt)) {
+        Ok(Ok(result)) => (JobOutcome::Completed, Some(result)),
+        Ok(Err(e)) if e.is_deterministic() => (
+            JobOutcome::Rejected {
+                reason: e.to_string(),
+            },
+            None,
+        ),
+        Ok(Err(e)) => (
+            JobOutcome::Panicked {
+                message: e.to_string(),
+            },
+            None,
+        ),
+        Err(payload) => (
+            JobOutcome::Panicked {
+                message: panic_message(payload),
+            },
+            None,
+        ),
     }
-    (last_failure.expect("at least one attempt ran"), None)
-}
-
-/// Runs the matrix on [`threads_from_env`] workers. See
-/// [`run_matrix_with_threads`].
-pub fn run_matrix(jobs: &[Job]) -> Vec<JobResult> {
-    run_matrix_with_threads(jobs, threads_from_env())
-}
-
-/// Runs the matrix and returns the results together with a wall-clock
-/// [`MatrixReport`] for the binary's throughput footer.
-///
-/// # Panics
-///
-/// Like [`run_matrix_with_threads`], panics if any job fails after the
-/// environment's retry budget.
-pub fn run_matrix_timed(jobs: &[Job]) -> (Vec<JobResult>, MatrixReport) {
-    let (outcome, report) = run_matrix_resilient_timed(jobs, RetryPolicy::from_env());
-    exit_if_shard_run(&outcome, Some(&report));
-    (outcome.expect_complete(), report)
 }
 
 /// Runs every job on a pool of at most `threads` scoped worker threads and
-/// returns the results **in input order**.
+/// returns one [`JobReport`] per job, **in input order** — healthy results
+/// survive neighbouring failures. Never panics on a job's behalf.
 ///
 /// Workers pull jobs from a shared atomic cursor (dynamic load balancing:
-/// long simulations don't serialise behind short ones). A panicking job
-/// does not poison the pool — remaining jobs still run — and the failure
-/// is re-raised on the caller's thread after the pool drains, carrying the
-/// failing job's index and name. The watchdog/retry knobs from
-/// [`RetryPolicy::from_env`] apply; with the environment unset this is a
-/// plain single-attempt run.
-///
-/// # Panics
-///
-/// Re-raises the first (in input order) job failure with the full failure
-/// manifest.
-pub fn run_matrix_with_threads(jobs: &[Job], threads: usize) -> Vec<JobResult> {
-    let outcome = run_matrix_resilient_with_threads(jobs, RetryPolicy::from_env(), threads);
-    exit_if_shard_run(&outcome, None);
-    outcome.expect_complete()
-}
-
-/// Crash-proof matrix run on [`threads_from_env`] workers: never panics,
-/// returns a [`JobOutcome`] for every job. See
-/// [`run_matrix_resilient_with_threads`].
-pub fn run_matrix_resilient(jobs: &[Job], policy: RetryPolicy) -> MatrixOutcome {
-    run_matrix_resilient_with_threads(jobs, policy, threads_from_env())
-}
-
-/// Crash-proof matrix run with a wall-clock [`MatrixReport`] (including
-/// degraded-job counts) for the binary's footer. Owns the env-configured
-/// cache for the duration of the run so its durability counters
-/// (write errors, quarantined entries) can be folded into the report.
-pub fn run_matrix_resilient_timed(
-    jobs: &[Job],
-    policy: RetryPolicy,
-) -> (MatrixOutcome, MatrixReport) {
-    let threads = threads_from_env();
-    let cache = ResultCache::from_env();
-    let t0 = Instant::now();
-    let outcome =
-        run_matrix_resilient_configured(jobs, policy, threads, shard_from_env(), cache.as_ref());
-    let audited: Vec<_> = outcome
-        .reports
-        .iter()
-        .filter_map(|r| r.result.as_ref().and_then(|res| res.audit.as_ref()))
-        .collect();
-    let mut phase_totals = PhaseTimings::default();
-    for r in outcome.healthy() {
-        if let Some(res) = &r.result {
-            phase_totals.merge(&res.phases);
-        }
-    }
-    let report = MatrixReport {
-        jobs: jobs.len(),
-        threads: threads.min(jobs.len().max(1)),
-        elapsed: t0.elapsed(),
-        audited_jobs: audited.len(),
-        audit_violations: audited.iter().map(|a| a.violations.len()).sum(),
-        retried_jobs: outcome.retried_jobs(),
-        failed_jobs: outcome.failed_jobs(),
-        cache_hits: outcome
-            .reports
-            .iter()
-            .filter(|r| r.cached == Some(true))
-            .count(),
-        cache_misses: outcome
-            .reports
-            .iter()
-            .filter(|r| r.cached == Some(false))
-            .count(),
-        skipped_jobs: outcome.skipped_jobs(),
-        cache_write_errors: cache.as_ref().map_or(0, |c| c.write_errors() as usize),
-        cache_quarantined: cache.as_ref().map_or(0, |c| c.quarantined() as usize),
-        phase_totals,
-    };
-    (outcome, report)
-}
-
-/// Terminates a shard run cleanly: when any job was skipped by `PRF_SHARD`
-/// (and nothing failed), this shard's purpose — computing its slice into
-/// the shared `PRF_CACHE_DIR` — is fulfilled, so print a summary and exit
-/// 0 instead of letting `expect_complete` panic on the missing results.
-/// Merging is a subsequent *unsharded* run over the warmed cache, which is
-/// bit-identical to a serial run. A no-op for unsharded runs; failures
-/// fall through so the normal failure path reports them.
-pub fn exit_if_shard_run(outcome: &MatrixOutcome, report: Option<&MatrixReport>) {
-    let skipped = outcome.skipped_jobs();
-    if skipped == 0 || outcome.failed_jobs() > 0 {
-        return;
-    }
-    if let Some(report) = report {
-        println!("{}", report.footer());
-    }
-    let executed = outcome.reports.len() - skipped;
-    let spec = shard_from_env()
-        .map(|s| format!("{}/{}", s.index, s.count))
-        .unwrap_or_else(|| "?/?".to_string());
-    eprintln!(
-        "[shard {spec}] executed {executed} of {} jobs ({skipped} owned by other shards); \
-         merge by re-running unsharded with the same PRF_CACHE_DIR",
-        outcome.reports.len()
-    );
-    std::process::exit(0);
-}
-
-/// Crash-proof matrix run: every job gets `1 + policy.retries` attempts
-/// behind `catch_unwind` (and a watchdog when `policy.timeout` is set),
-/// and the returned [`MatrixOutcome`] has one report per input job, in
-/// input order — healthy results survive neighbouring crashes and hangs.
-pub fn run_matrix_resilient_with_threads(
-    jobs: &[Job],
-    policy: RetryPolicy,
-    threads: usize,
-) -> MatrixOutcome {
-    run_matrix_resilient_configured(
-        jobs,
-        policy,
-        threads,
-        shard_from_env(),
-        ResultCache::from_env().as_ref(),
-    )
-}
-
-/// One worker slot's record of a finished job.
-struct SlotData {
-    outcome: JobOutcome,
-    started: Duration,
-    elapsed: Duration,
-    result: Option<ExperimentResult>,
-    cached: Option<bool>,
-}
-
-/// [`run_matrix_resilient_with_threads`] with the shard filter and result
-/// cache passed explicitly instead of read from the environment — the
-/// testable core, also used by `prf-serve`.
-///
-/// With a `shard`, only jobs whose index the shard owns are executed; the
-/// rest report [`JobOutcome::Skipped`]. With a `cache`, cacheable jobs are
-/// answered from disk when their digest matches a stored entry, and
-/// freshly computed results are stored for the next run. The cache store
-/// happens on the worker thread *after* `run_resilient_job` returns, so —
-/// together with the attempt generation counter — an abandoned watchdog
-/// attempt can never publish a stale entry.
+/// long simulations don't serialise behind short ones). With a `shard`,
+/// only jobs whose index the shard owns are executed; the rest report
+/// [`JobOutcome::Skipped`]. With a `cache`, cacheable jobs are answered
+/// from disk when their digest matches a stored entry, and freshly
+/// computed results are stored for the next run. Invalid jobs are
+/// rejected before they reach the cache or the simulator.
 pub fn run_matrix_resilient_configured(
     jobs: &[Job],
     policy: RetryPolicy,
@@ -834,141 +530,70 @@ pub fn run_matrix_resilient_configured(
     shard: Option<ShardSpec>,
     cache: Option<&ResultCache>,
 ) -> MatrixOutcome {
-    run_matrix_resilient_observed(jobs, policy, threads, shard, cache, None)
-}
-
-/// Progress hooks invoked from the worker threads of
-/// [`run_matrix_resilient_observed`]. `prf-serve` uses this to journal
-/// per-job start/completion records; both methods default to no-ops.
-/// Callbacks must be cheap and must not panic — they run inline on the
-/// worker, between jobs.
-pub trait JobObserver: Sync {
-    /// A worker picked up job `index` (after shard filtering; fires for
-    /// rejected and cache-answered jobs too).
-    fn job_started(&self, _index: usize, _job: &Job) {}
-    /// Job `index` reached a terminal outcome (including rejection and
-    /// cache hits). Fires after the cache store, so by the time a
-    /// journal records completion the result is already published.
-    fn job_finished(&self, _index: usize, _job: &Job, _outcome: &JobOutcome) {}
-}
-
-/// [`run_matrix_resilient_configured`] with per-job [`JobObserver`]
-/// callbacks.
-pub fn run_matrix_resilient_observed(
-    jobs: &[Job],
-    policy: RetryPolicy,
-    threads: usize,
-    shard: Option<ShardSpec>,
-    cache: Option<&ResultCache>,
-    observer: Option<&dyn JobObserver>,
-) -> MatrixOutcome {
-    let threads = threads.clamp(1, jobs.len().max(1));
-    let next = AtomicUsize::new(0);
     let t0 = Instant::now();
-    let slots: Vec<Mutex<Option<SlotData>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<JobReport>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+
+    let run_one = |index: usize, job: &Job| -> JobReport {
+        let started = t0.elapsed();
+        let report = |outcome, elapsed, result, cached| JobReport {
+            index,
+            name: job.name.clone(),
+            outcome,
+            started,
+            elapsed,
+            result,
+            cached,
+        };
+        if shard.is_some_and(|spec| !spec.owns(index)) {
+            return report(JobOutcome::Skipped, Duration::ZERO, None, None);
+        }
+        if let Err(e) = job.validate() {
+            let reason = format!("rejected input: {e}");
+            return report(JobOutcome::Rejected { reason }, Duration::ZERO, None, None);
+        }
+        // Consult the cache before simulating. The digest is only computed
+        // when a cache is configured and the job's result would round-trip
+        // exactly (see `ResultCache::is_cacheable`).
+        let digest = cache
+            .filter(|_| ResultCache::is_cacheable(job))
+            .map(|_| job_digest(job));
+        if let (Some(cache), Some(digest)) = (cache, &digest) {
+            if let Some(hit) = cache.load(digest, job) {
+                return report(
+                    JobOutcome::Completed,
+                    hit.elapsed,
+                    Some(hit.result),
+                    Some(true),
+                );
+            }
+        }
+        let job_start = Instant::now();
+        let (outcome, result) = run_resilient_job(policy, || job.run());
+        let elapsed = job_start.elapsed();
+        if let (Some(cache), Some(digest), Some(r)) = (cache, &digest, &result) {
+            cache.store(digest, job, elapsed, r);
+        }
+        report(outcome, elapsed, result, cache.map(|_| false))
+    };
 
     std::thread::scope(|s| {
-        for _ in 0..threads {
+        for _ in 0..threads.clamp(1, jobs.len().max(1)) {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(i) else { break };
-                if let Some(spec) = shard {
-                    if !spec.owns(i) {
-                        *slots[i].lock().unwrap() = Some(SlotData {
-                            outcome: JobOutcome::Skipped,
-                            started: t0.elapsed(),
-                            elapsed: Duration::ZERO,
-                            result: None,
-                            cached: None,
-                        });
-                        continue;
-                    }
-                }
-                let started = t0.elapsed();
-                if let Some(obs) = observer {
-                    obs.job_started(i, job);
-                }
-                // Reject invalid jobs up front: no attempt thread, no
-                // watchdog, no retries — a hostile job costs one
-                // validation pass, not a worker's retry budget.
-                if let Err(e) = job.validate() {
-                    let outcome = JobOutcome::Rejected {
-                        reason: format!("rejected input: {e}"),
-                    };
-                    if let Some(obs) = observer {
-                        obs.job_finished(i, job, &outcome);
-                    }
-                    *slots[i].lock().unwrap() = Some(SlotData {
-                        outcome,
-                        started,
-                        elapsed: Duration::ZERO,
-                        result: None,
-                        cached: None,
-                    });
-                    continue;
-                }
-                // Consult the cache before simulating. The digest is only
-                // computed when a cache is configured and the job's result
-                // would round-trip exactly (see `ResultCache::is_cacheable`).
-                let digest = cache
-                    .filter(|_| ResultCache::is_cacheable(job))
-                    .map(|_| job_digest(job));
-                if let (Some(cache), Some(digest)) = (cache, &digest) {
-                    if let Some(hit) = cache.load(digest, job) {
-                        if let Some(obs) = observer {
-                            obs.job_finished(i, job, &hit.outcome);
-                        }
-                        *slots[i].lock().unwrap() = Some(SlotData {
-                            outcome: hit.outcome,
-                            started,
-                            elapsed: hit.elapsed,
-                            result: Some(hit.result),
-                            cached: Some(true),
-                        });
-                        continue;
-                    }
-                }
-                // Owned clone so watchdog attempts can move to a detached
-                // thread (cheap: kernels are behind `Arc`).
-                let owned = job.clone();
-                let job_start = Instant::now();
-                let (outcome, result) = run_resilient_job(policy, move || owned.run());
-                let elapsed = job_start.elapsed();
-                if let (Some(cache), Some(digest), Some(r)) = (cache, &digest, result.as_ref()) {
-                    cache.store(digest, job, &outcome, elapsed, r);
-                }
-                if let Some(obs) = observer {
-                    obs.job_finished(i, job, &outcome);
-                }
-                *slots[i].lock().unwrap() = Some(SlotData {
-                    outcome,
-                    started,
-                    elapsed,
-                    result,
-                    cached: cache.map(|_| false),
-                });
+                let report = run_one(i, job);
+                *slots[i].lock().expect("each slot has one writer") = Some(report);
             });
         }
     });
 
     let reports = slots
         .into_iter()
-        .zip(jobs)
-        .enumerate()
-        .map(|(index, (slot, job))| {
-            let data = slot
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or_else(|| panic!("job `{}` was never executed", job.name));
-            JobReport {
-                index,
-                name: job.name.clone(),
-                outcome: data.outcome,
-                started: data.started,
-                elapsed: data.elapsed,
-                result: data.result,
-                cached: data.cached,
-            }
+        .map(|slot| {
+            slot.into_inner()
+                .expect("no worker panics while holding a slot")
+                .expect("every job is executed")
         })
         .collect();
     MatrixOutcome { reports }
@@ -993,12 +618,17 @@ mod tests {
             .collect()
     }
 
+    fn run(jobs: &[Job], threads: usize) -> MatrixOutcome {
+        run_matrix_resilient_configured(jobs, RetryPolicy::none(), threads, None, None)
+    }
+
     #[test]
     fn results_come_back_in_input_order() {
         let jobs = tiny_jobs(4);
-        let results = run_matrix_with_threads(&jobs, 3);
-        assert_eq!(results.len(), 4);
-        for (j, r) in jobs.iter().zip(&results) {
+        let outcome = run(&jobs, 3);
+        assert_eq!(outcome.reports.len(), 4);
+        for (i, (j, r)) in jobs.iter().zip(&outcome.reports).enumerate() {
+            assert_eq!(r.index, i);
             assert_eq!(j.name, r.name);
         }
     }
@@ -1006,35 +636,13 @@ mod tests {
     #[test]
     fn parallel_matches_serial_exactly() {
         let jobs = tiny_jobs(3);
-        let serial = run_matrix_with_threads(&jobs, 1);
-        let parallel = run_matrix_with_threads(&jobs, 3);
+        let serial = run(&jobs, 1).expect_complete();
+        let parallel = run(&jobs, 3).expect_complete();
         for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.result.cycles, b.result.cycles);
-            assert_eq!(a.result.dynamic_energy_pj, b.result.dynamic_energy_pj);
-            assert_eq!(
-                a.result.stats.partition_accesses,
-                b.result.stats.partition_accesses
-            );
+            assert_eq!(a.cycles, b.cycles);
+            assert_eq!(a.dynamic_energy_pj, b.dynamic_energy_pj);
+            assert_eq!(a.stats.partition_accesses, b.stats.partition_accesses);
         }
-    }
-
-    #[test]
-    fn failing_job_reports_its_name() {
-        let mut jobs = tiny_jobs(2);
-        // An impossible cycle limit forces a deterministic SimError; the
-        // all-or-nothing entry point re-raises it with the job name.
-        jobs[1].gpu.max_cycles = 1;
-        jobs[1].name = "doomed".into();
-        let err = std::panic::catch_unwind(|| run_matrix_with_threads(&jobs, 2));
-        let payload = err.expect_err("doomed job must propagate its failure");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| payload.downcast_ref::<&str>().unwrap_or(&"").to_string());
-        assert!(
-            msg.contains("doomed"),
-            "panic message should name the job: {msg}"
-        );
     }
 
     #[test]
@@ -1043,16 +651,7 @@ mod tests {
             jobs: 10,
             threads: 4,
             elapsed: Duration::from_secs(2),
-            audited_jobs: 0,
-            audit_violations: 0,
-            retried_jobs: 0,
-            failed_jobs: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            skipped_jobs: 0,
-            cache_write_errors: 0,
-            cache_quarantined: 0,
-            phase_totals: PhaseTimings::default(),
+            ..MatrixReport::default()
         };
         let f = r.footer();
         assert!(f.contains("10 jobs"), "{f}");
@@ -1062,10 +661,7 @@ mod tests {
             !f.contains("audit"),
             "unaudited runs keep the old footer: {f}"
         );
-        assert!(
-            !f.contains("degraded"),
-            "clean runs keep the old footer: {f}"
-        );
+        assert!(!f.contains("failed"), "clean runs keep the old footer: {f}");
     }
 
     #[test]
@@ -1075,60 +671,34 @@ mod tests {
             threads: 4,
             elapsed: Duration::from_secs(2),
             audited_jobs: 10,
-            audit_violations: 0,
-            retried_jobs: 0,
-            failed_jobs: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            skipped_jobs: 0,
-            cache_write_errors: 0,
-            cache_quarantined: 0,
-            phase_totals: PhaseTimings::default(),
+            ..MatrixReport::default()
         };
         let f = r.footer();
         assert!(f.contains("[audit: 10/10 jobs, 0 violations]"), "{f}");
     }
 
     #[test]
-    fn footer_reports_degraded_jobs() {
+    fn footer_reports_failed_jobs() {
         let r = MatrixReport {
             jobs: 10,
             threads: 4,
             elapsed: Duration::from_secs(2),
-            audited_jobs: 0,
-            audit_violations: 0,
-            retried_jobs: 2,
             failed_jobs: 1,
-            cache_hits: 0,
-            cache_misses: 0,
-            skipped_jobs: 0,
-            cache_write_errors: 0,
-            cache_quarantined: 0,
-            phase_totals: PhaseTimings::default(),
+            ..MatrixReport::default()
         };
         let f = r.footer();
-        assert!(f.contains("[degraded: 2 retried, 1 failed]"), "{f}");
+        assert!(f.contains("[failed: 1 jobs]"), "{f}");
     }
 
     #[test]
     fn footer_survives_sub_millisecond_matrices() {
-        // Satellite regression: a zero-duration run used to print
-        // `inf jobs/s` (and an empty matrix `NaN jobs/s`).
+        // A zero-duration run used to print `inf jobs/s` (and an empty
+        // matrix `NaN jobs/s`).
         for jobs in [0, 10] {
             let r = MatrixReport {
                 jobs,
                 threads: 4,
-                elapsed: Duration::ZERO,
-                audited_jobs: 0,
-                audit_violations: 0,
-                retried_jobs: 0,
-                failed_jobs: 0,
-                cache_hits: 0,
-                cache_misses: 0,
-                skipped_jobs: 0,
-                cache_write_errors: 0,
-                cache_quarantined: 0,
-                phase_totals: PhaseTimings::default(),
+                ..MatrixReport::default()
             };
             let f = r.footer();
             assert!(!f.contains("inf"), "{f}");
@@ -1142,21 +712,13 @@ mod tests {
             jobs: 1,
             threads: 1,
             elapsed: Duration::from_secs(1),
-            audited_jobs: 0,
-            audit_violations: 0,
-            retried_jobs: 0,
-            failed_jobs: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            skipped_jobs: 0,
-            cache_write_errors: 0,
-            cache_quarantined: 0,
             phase_totals: PhaseTimings {
                 setup: Duration::from_millis(5),
                 simulate: Duration::from_millis(900),
                 energy: Duration::from_millis(2),
                 audit: Duration::from_millis(40),
             },
+            ..MatrixReport::default()
         };
         let f = r.footer();
         assert!(f.contains("[phases: "), "{f}");
@@ -1164,11 +726,11 @@ mod tests {
     }
 
     #[test]
-    fn timed_matrix_measures_phases_and_job_elapsed() {
+    fn matrix_report_measures_phases_and_job_elapsed() {
         let jobs = tiny_jobs(2);
-        let (outcome, report) = run_matrix_resilient_timed(&jobs, RetryPolicy::none());
+        let outcome = run(&jobs, 2);
+        let report = MatrixReport::new(&outcome, 2, Duration::from_secs(1), None);
         assert!(report.phase_totals.simulate > Duration::ZERO);
-        assert!(report.phase_totals.total() > Duration::ZERO);
         for r in &outcome.reports {
             assert!(r.elapsed > Duration::ZERO);
             let phases = r.result.as_ref().expect("healthy job").phases;
@@ -1178,16 +740,17 @@ mod tests {
     }
 
     #[test]
-    fn timed_matrix_counts_audited_jobs() {
+    fn matrix_report_counts_audited_jobs() {
         let mut jobs = tiny_jobs(2);
         jobs[1].gpu.audit = true;
-        let (results, report) = run_matrix_timed(&jobs);
-        assert!(results[0].result.audit.is_none());
-        let audit = results[1].result.audit.as_ref().expect("audited job");
+        let outcome = run(&jobs, 2);
+        let report = MatrixReport::new(&outcome, 2, Duration::from_secs(1), None);
+        let results = outcome.expect_complete();
+        assert!(results[0].audit.is_none());
+        let audit = results[1].audit.as_ref().expect("audited job");
         assert!(audit.is_clean(), "{audit}");
         assert_eq!(report.audited_jobs, 1);
         assert_eq!(report.audit_violations, 0);
-        assert_eq!(report.retried_jobs, 0);
         assert_eq!(report.failed_jobs, 0);
     }
 
@@ -1196,7 +759,7 @@ mod tests {
         let mut jobs = tiny_jobs(3);
         jobs[1].gpu.max_cycles = 1;
         jobs[1].name = "doomed".into();
-        let outcome = run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 3);
+        let outcome = run(&jobs, 3);
         assert_eq!(outcome.reports.len(), 3);
         for (i, report) in outcome.reports.iter().enumerate() {
             assert_eq!(report.index, i);
@@ -1215,7 +778,6 @@ mod tests {
         }
         assert!(outcome.reports[1].result.is_none());
         assert_eq!(outcome.failed_jobs(), 1);
-        assert_eq!(outcome.retried_jobs(), 0);
         let manifest = outcome.failure_manifest();
         assert!(manifest.contains("job #1 `doomed`"), "{manifest}");
     }
@@ -1226,52 +788,30 @@ mod tests {
         let mut jobs = tiny_jobs(2);
         jobs[1].gpu.max_cycles = 1;
         jobs[1].name = "doomed".into();
-        run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 2).expect_complete();
+        run(&jobs, 2).expect_complete();
     }
 
     #[test]
-    fn flaky_job_succeeds_after_retries() {
-        use std::sync::atomic::AtomicU32;
-        use std::sync::Arc;
-        let job = Arc::new(tiny_jobs(1).remove(0));
-        let calls = Arc::new(AtomicU32::new(0));
-        let policy = RetryPolicy {
-            timeout: None,
-            retries: 3,
-            backoff: Duration::ZERO,
-        };
-        let (outcome, result) = run_resilient_job(policy, {
-            let calls = Arc::clone(&calls);
-            let job = Arc::clone(&job);
-            move || {
-                if calls.fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("transient failure");
-                }
-                job.run()
-            }
-        });
-        assert_eq!(outcome, JobOutcome::Retried { attempts: 3 });
-        assert!(result.is_some());
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn exhausted_retries_keep_the_last_panic() {
-        let policy = RetryPolicy {
-            timeout: None,
-            retries: 1,
-            backoff: Duration::ZERO,
-        };
-        let (outcome, result) =
-            run_resilient_job(policy, || -> Result<ExperimentResult, SimError> {
-                panic!("always down")
-            });
+    fn panicking_attempt_is_reported_not_propagated() {
+        let (outcome, result) = run_resilient_job(
+            RetryPolicy::none(),
+            || -> Result<ExperimentResult, SimError> { panic!("always down") },
+        );
         assert_eq!(
             outcome,
             JobOutcome::Panicked {
                 message: "always down".into()
             }
         );
+        assert!(result.is_none());
+    }
+
+    #[test]
+    fn sim_error_is_a_rejection() {
+        let (outcome, result) = run_resilient_job(RetryPolicy::none(), || {
+            Err(SimError::CycleLimitExceeded { limit: 7 })
+        });
+        assert!(matches!(outcome, JobOutcome::Rejected { .. }), "{outcome}");
         assert!(result.is_none());
     }
 
@@ -1296,7 +836,7 @@ mod tests {
         let cache = crate::cache::ResultCache::at(&dir);
         let jobs = tiny_jobs(5);
         // Reference: plain serial run, no cache, no shard.
-        let serial = run_matrix_resilient_configured(&jobs, RetryPolicy::none(), 1, None, None);
+        let serial = run(&jobs, 1);
         // Two shard processes fill the shared cache with their slices.
         for index in 0..2 {
             let spec = ShardSpec { index, count: 2 };
@@ -1358,16 +898,9 @@ mod tests {
             jobs: 10,
             threads: 4,
             elapsed: Duration::from_secs(2),
-            audited_jobs: 0,
-            audit_violations: 0,
-            retried_jobs: 0,
-            failed_jobs: 0,
             cache_hits: 7,
             cache_misses: 3,
-            skipped_jobs: 0,
-            cache_write_errors: 0,
-            cache_quarantined: 0,
-            phase_totals: PhaseTimings::default(),
+            ..MatrixReport::default()
         };
         assert!(
             r.footer().contains("[cache: 7 hit / 3 miss]"),
@@ -1391,16 +924,11 @@ mod tests {
             jobs: 10,
             threads: 4,
             elapsed: Duration::from_secs(2),
-            audited_jobs: 0,
-            audit_violations: 0,
-            retried_jobs: 0,
-            failed_jobs: 0,
             cache_hits: 7,
             cache_misses: 3,
-            skipped_jobs: 0,
             cache_write_errors: 2,
             cache_quarantined: 1,
-            phase_totals: PhaseTimings::default(),
+            ..MatrixReport::default()
         };
         assert!(
             r.footer()
@@ -1429,122 +957,14 @@ mod tests {
     }
 
     #[test]
-    fn backoff_delay_saturates_instead_of_panicking() {
-        // Satellite regression: `backoff * attempt_no` panics on overflow,
-        // so PRF_RETRY_BACKOFF_MS / PRF_JOB_RETRIES values near the limits
-        // crashed the worker thread instead of retrying.
-        let policy = RetryPolicy {
-            timeout: None,
-            retries: u32::MAX,
-            backoff: Duration::from_millis(u64::MAX / 100),
-        };
-        assert_eq!(policy.backoff_delay(u32::MAX), Duration::MAX);
-        assert_eq!(policy.backoff_delay(0), Duration::ZERO);
-        let sane = RetryPolicy {
-            timeout: None,
-            retries: 3,
-            backoff: Duration::from_millis(100),
-        };
-        // Linear schedule is unchanged in the non-saturating range.
-        assert_eq!(sane.backoff_delay(1), Duration::from_millis(100));
-        assert_eq!(sane.backoff_delay(3), Duration::from_millis(300));
-    }
-
-    /// A fabricated result whose `cycles` value identifies which attempt
-    /// produced it.
-    fn marker_result(cycles: u64) -> ExperimentResult {
-        ExperimentResult {
-            rf_name: "mrf@stv",
-            cycles,
-            stats: prf_sim::SmStats::new(),
-            per_launch: Vec::new(),
-            telemetry: Default::default(),
-            dynamic_energy_pj: 0.0,
-            baseline_dynamic_energy_pj: 0.0,
-            leakage_energy_pj: 0.0,
-            baseline_leakage_energy_pj: 0.0,
-            repair_energy_pj: 0.0,
-            phases: PhaseTimings::default(),
-            audit: None,
-        }
-    }
-
-    #[test]
-    fn stale_watchdog_result_is_discarded() {
-        use std::sync::atomic::AtomicU32;
-        use std::sync::Arc;
-        // Attempt 0 outlives its watchdog budget (500 ms) and delivers a
-        // stale result at ~700 ms — squarely inside attempt 1's wait
-        // window (500..1000 ms), *before* attempt 1's own result at
-        // ~850 ms. Without generation tagging the retry would adopt the
-        // abandoned attempt's result (cycles = 111).
-        let calls = Arc::new(AtomicU32::new(0));
-        let policy = RetryPolicy {
-            timeout: Some(Duration::from_millis(500)),
-            retries: 1,
-            backoff: Duration::ZERO,
-        };
-        let (outcome, result) = run_resilient_job(policy, {
-            let calls = Arc::clone(&calls);
-            move || {
-                if calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                    std::thread::sleep(Duration::from_millis(700));
-                    Ok(marker_result(111))
-                } else {
-                    std::thread::sleep(Duration::from_millis(350));
-                    Ok(marker_result(222))
-                }
-            }
-        });
-        assert_eq!(outcome, JobOutcome::Retried { attempts: 2 });
-        let result = result.expect("retry succeeded");
-        assert_eq!(
-            result.cycles, 222,
-            "job must report the live attempt's result, not the abandoned one's"
-        );
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn deterministic_failure_skips_the_retry_budget() {
-        use std::sync::atomic::AtomicU32;
-        use std::sync::Arc;
-        let calls = Arc::new(AtomicU32::new(0));
-        let policy = RetryPolicy {
-            timeout: None,
-            retries: 5,
-            backoff: Duration::from_secs(60), // would hang the test if slept
-        };
-        let (outcome, result) = run_resilient_job(policy, {
-            let calls = Arc::clone(&calls);
-            move || {
-                calls.fetch_add(1, Ordering::SeqCst);
-                Err(SimError::CycleLimitExceeded { limit: 7 })
-            }
-        });
-        assert!(matches!(outcome, JobOutcome::Rejected { .. }), "{outcome}");
-        assert!(result.is_none());
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            1,
-            "a deterministic failure must not be retried"
-        );
-    }
-
-    #[test]
-    fn invalid_job_is_rejected_before_any_attempt_runs() {
+    fn invalid_job_is_rejected_before_it_simulates() {
         let mut jobs = tiny_jobs(2);
         // A CTA whose register demand exceeds the whole RF can never
         // dispatch: pre-validation rejects it on the worker thread, with
-        // no attempt, no watchdog, and zero simulated wall-clock.
+        // zero simulated wall-clock.
         jobs[1].gpu.rf_registers = 1;
         jobs[1].name = "hostile".into();
-        let watchdog = RetryPolicy {
-            timeout: Some(Duration::from_secs(120)),
-            retries: 3,
-            backoff: Duration::from_secs(60),
-        };
-        let outcome = run_matrix_resilient_with_threads(&jobs, watchdog, 2);
+        let outcome = run(&jobs, 2);
         assert_eq!(outcome.reports[0].outcome, JobOutcome::Completed);
         match &outcome.reports[1].outcome {
             JobOutcome::Rejected { reason } => {
@@ -1564,48 +984,12 @@ mod tests {
     }
 
     #[test]
-    fn rejected_outcome_is_degraded_and_not_successful() {
+    fn rejected_outcome_is_degraded() {
         let o = JobOutcome::Rejected {
             reason: "invalid config: num_sms: must be at least 1".into(),
         };
-        assert!(!o.succeeded());
         assert!(o.is_degraded());
+        assert!(!JobOutcome::Skipped.is_degraded());
         assert!(o.to_string().starts_with("rejected: "), "{o}");
-    }
-
-    #[test]
-    fn hanging_job_times_out() {
-        let job = std::sync::Arc::new(tiny_jobs(1).remove(0));
-        let budget = Duration::from_millis(20);
-        let policy = RetryPolicy {
-            timeout: Some(budget),
-            retries: 0,
-            backoff: Duration::ZERO,
-        };
-        let (outcome, result) = run_resilient_job(policy, move || {
-            std::thread::sleep(Duration::from_secs(60));
-            job.run()
-        });
-        assert_eq!(outcome, JobOutcome::TimedOut { timeout: budget });
-        assert!(result.is_none());
-    }
-
-    #[test]
-    fn watchdog_passes_healthy_results_through() {
-        let jobs = tiny_jobs(2);
-        let plain = run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 2);
-        let policy = RetryPolicy {
-            timeout: Some(Duration::from_secs(120)),
-            retries: 2,
-            backoff: Duration::from_millis(1),
-        };
-        let watched = run_matrix_resilient_with_threads(&jobs, policy, 2);
-        for (a, b) in plain.reports.iter().zip(&watched.reports) {
-            assert_eq!(a.outcome, JobOutcome::Completed);
-            assert_eq!(b.outcome, JobOutcome::Completed);
-            let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-            assert_eq!(ra.cycles, rb.cycles);
-            assert_eq!(ra.dynamic_energy_pj, rb.dynamic_energy_pj);
-        }
     }
 }

@@ -1,20 +1,18 @@
-//! Injectable filesystem layer for the durable experiment engine.
+//! Injectable filesystem layer for the result cache.
 //!
-//! Every file operation the cache ([`crate::cache`]), the job journal
-//! ([`crate::journal`]) and the run reports ([`crate::bench_report`])
-//! perform is routed through the [`Vfs`] trait. Production code uses
+//! Every file operation the cache ([`crate::cache`]) performs is routed
+//! through the [`Vfs`] trait. Production code uses
 //! [`RealVfs`] — a thin passthrough to `std::fs` — while tests use
 //! [`FaultyVfs`] to inject the failures a long campaign actually meets:
 //! disk-full (`ENOSPC`), short/torn writes, rename failure, and a
 //! "power cut after N operations" mode that kills every subsequent
-//! mutation mid-flight. The durability tests drive the whole engine
-//! through a `FaultyVfs` and assert that every scenario ends in
-//! *recover or quarantine*, never a panic and never silently corrupt
-//! served data.
+//! mutation mid-flight. The cache tests drive the matrix runner through
+//! a `FaultyVfs` and assert that every scenario ends in *recompute or
+//! quarantine*, never a panic and never silently corrupt served data.
 //!
 //! The trait is deliberately tiny: whole-file read, atomic-publish
-//! sized writes, appends, rename, remove, directory listing/creation,
-//! and directory fsync. Nothing here buffers — callers hand over
+//! sized writes, rename, remove, directory listing/creation, and
+//! directory fsync. Nothing here buffers — callers hand over
 //! complete byte slices, which is what makes torn-write injection
 //! meaningful (the backend decides how many bytes "reached the disk").
 
@@ -25,11 +23,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Filesystem operations used by the cache, journal, and report layers.
+/// Filesystem operations used by the result cache.
 ///
 /// All mutating methods are durability-annotated: `write_file` syncs
-/// file contents before returning, `append` syncs only when asked, and
-/// [`Vfs::sync_dir`] makes a preceding `rename` survive power loss on
+/// file contents before returning, and [`Vfs::sync_dir`] makes a preceding `rename` survive power loss on
 /// platforms where directory fsync is meaningful (see the method docs).
 pub trait Vfs: Send + Sync + Debug {
     /// Reads a whole file.
@@ -37,10 +34,6 @@ pub trait Vfs: Send + Sync + Debug {
 
     /// Creates (truncating) `path`, writes `bytes`, and fsyncs the file.
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-
-    /// Appends `bytes` to `path` (creating it if absent); fsyncs the
-    /// file when `sync` is true.
-    fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> io::Result<()>;
 
     /// Renames `from` to `to` (atomic within one directory on POSIX).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -65,9 +58,6 @@ pub trait Vfs: Send + Sync + Debug {
     /// rename is still atomic against process crashes, just not
     /// guaranteed against power loss. See DESIGN.md §10.
     fn sync_dir(&self, path: &Path) -> io::Result<()>;
-
-    /// True when `path` exists (any file type).
-    fn exists(&self, path: &Path) -> bool;
 }
 
 /// The production backend: a stateless passthrough to `std::fs`.
@@ -88,18 +78,6 @@ impl Vfs for RealVfs {
         let mut f = fs::File::create(path)?;
         f.write_all(bytes)?;
         f.sync_all()
-    }
-
-    fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> io::Result<()> {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        f.write_all(bytes)?;
-        if sync {
-            f.sync_all()?;
-        }
-        Ok(())
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -131,10 +109,6 @@ impl Vfs for RealVfs {
             Err(_) => Ok(()),
         }
     }
-
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
-    }
 }
 
 /// What the [`FaultyVfs`] test backend should break.
@@ -143,11 +117,11 @@ impl Vfs for RealVfs {
 /// exactly like [`RealVfs`].
 #[derive(Debug, Default, Clone)]
 pub struct FaultPlan {
-    /// Every write/append fails with `ENOSPC`-style errors (no bytes
-    /// reach the disk).
+    /// Every write fails with `ENOSPC`-style errors (no bytes reach the
+    /// disk).
     pub fail_writes: bool,
-    /// Writes and appends land only their first `n` bytes, then fail —
-    /// a short/torn write.
+    /// Writes land only their first `n` bytes, then fail — a short/torn
+    /// write.
     pub torn_write_bytes: Option<usize>,
     /// Every rename fails (the publish step of an atomic write).
     pub fail_rename: bool,
@@ -155,7 +129,7 @@ pub struct FaultPlan {
     pub fail_sync_dir: bool,
     /// After this many further mutating operations, the "machine loses
     /// power": the operation that crosses the budget lands only half
-    /// its bytes (for writes/appends) or nothing (for other
+    /// its bytes (for writes) or nothing (for other
     /// mutations), and every later mutation fails until
     /// [`FaultyVfs::revive`]. Reads keep working — they model
     /// inspecting the disk after reboot.
@@ -201,11 +175,6 @@ impl FaultyVfs {
         self.ops.store(0, Ordering::SeqCst);
     }
 
-    /// Mutating operations performed so far.
-    pub fn ops(&self) -> u64 {
-        self.ops.load(Ordering::SeqCst)
-    }
-
     /// True once a power cut has been simulated.
     pub fn is_dead(&self) -> bool {
         self.dead.load(Ordering::SeqCst) != 0
@@ -220,14 +189,11 @@ impl FaultyVfs {
     }
 
     fn enospc() -> io::Error {
-        io::Error::new(
-            io::ErrorKind::Other,
-            "injected fault: no space left on device",
-        )
+        io::Error::other("injected fault: no space left on device")
     }
 
     fn power_cut() -> io::Error {
-        io::Error::new(io::ErrorKind::Other, "injected fault: power cut")
+        io::Error::other("injected fault: power cut")
     }
 
     /// Charges one mutating operation against the power-cut budget.
@@ -281,37 +247,12 @@ impl Vfs for FaultyVfs {
         self.inner.write_file(path, bytes)
     }
 
-    fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> io::Result<()> {
-        let cut = self.charge_op()?;
-        let plan = self.plan.lock().unwrap().clone();
-        if plan.fail_writes {
-            return Err(Self::enospc());
-        }
-        let torn = if cut {
-            Some(bytes.len() / 2)
-        } else {
-            plan.torn_write_bytes.filter(|&n| n < bytes.len())
-        };
-        if let Some(n) = torn {
-            self.inner.append(path, &bytes[..n], false)?;
-            return Err(if cut {
-                Self::power_cut()
-            } else {
-                Self::enospc()
-            });
-        }
-        self.inner.append(path, bytes, sync)
-    }
-
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         if self.charge_op()? {
             return Err(Self::power_cut());
         }
         if self.plan.lock().unwrap().fail_rename {
-            return Err(io::Error::new(
-                io::ErrorKind::Other,
-                "injected fault: rename failed",
-            ));
+            return Err(io::Error::other("injected fault: rename failed"));
         }
         self.inner.rename(from, to)
     }
@@ -339,22 +280,10 @@ impl Vfs for FaultyVfs {
             return Err(Self::power_cut());
         }
         if self.plan.lock().unwrap().fail_sync_dir {
-            return Err(io::Error::new(
-                io::ErrorKind::Other,
-                "injected fault: directory fsync failed",
-            ));
+            return Err(io::Error::other("injected fault: directory fsync failed"));
         }
         self.inner.sync_dir(path)
     }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
-    }
-}
-
-/// Convenience for tests and tools: reads a file as UTF-8 (lossy).
-pub fn read_to_string_lossy(vfs: &dyn Vfs, path: &Path) -> io::Result<String> {
-    Ok(String::from_utf8_lossy(&vfs.read(path)?).into_owned())
 }
 
 #[cfg(test)]
@@ -375,11 +304,9 @@ mod tests {
         let path = dir.join("a.txt");
         vfs.write_file(&path, b"hello").unwrap();
         assert_eq!(vfs.read(&path).unwrap(), b"hello");
-        vfs.append(&path, b" world", true).unwrap();
-        assert_eq!(vfs.read(&path).unwrap(), b"hello world");
         let renamed = dir.join("b.txt");
         vfs.rename(&path, &renamed).unwrap();
-        assert!(vfs.exists(&renamed) && !vfs.exists(&path));
+        assert!(renamed.exists() && !path.exists());
         vfs.sync_dir(&dir).unwrap();
         let listing = vfs.list_dir(&dir).unwrap();
         assert_eq!(listing, vec![renamed.clone()]);
@@ -423,27 +350,27 @@ mod tests {
     fn power_cut_kills_mutations_but_not_reads() {
         let dir = temp_dir("powercut");
         let vfs = FaultyVfs::new();
-        let path = dir.join("wal");
-        vfs.append(&path, b"AAAA", true).unwrap();
+        let path = dir.join("entry");
+        vfs.write_file(&path, b"AAAA").unwrap();
         vfs.set_plan(FaultPlan {
             power_cut_after_ops: Some(1),
             ..FaultPlan::default()
         });
-        vfs.append(&path, b"BBBB", true).unwrap(); // within budget
-        let torn = vfs.append(&path, b"CCCC", true); // the cut: half lands
+        vfs.write_file(&path, b"BBBB").unwrap(); // within budget
+        let torn = vfs.write_file(&path, b"CCCC"); // the cut: half lands
         assert!(torn.is_err());
         assert!(vfs.is_dead());
-        assert_eq!(vfs.read(&path).unwrap(), b"AAAABBBBCC");
+        assert_eq!(vfs.read(&path).unwrap(), b"CC");
         assert!(
-            vfs.append(&path, b"DDDD", true).is_err(),
+            vfs.write_file(&path, b"DDDD").is_err(),
             "dead disk stays dead"
         );
         assert!(vfs.rename(&path, &dir.join("moved")).is_err());
         // Post-reboot inspection still works.
-        assert_eq!(vfs.read(&path).unwrap(), b"AAAABBBBCC");
+        assert_eq!(vfs.read(&path).unwrap(), b"CC");
         vfs.revive();
-        vfs.append(&path, b"EEEE", true).unwrap();
-        assert_eq!(vfs.read(&path).unwrap(), b"AAAABBBBCCEEEE");
+        vfs.write_file(&path, b"EEEE").unwrap();
+        assert_eq!(vfs.read(&path).unwrap(), b"EEEE");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -458,7 +385,7 @@ mod tests {
             ..FaultPlan::default()
         });
         assert!(vfs.rename(&a, &dir.join("b")).is_err());
-        assert!(vfs.exists(&a), "failed rename must leave the source");
+        assert!(a.exists(), "failed rename must leave the source");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -4,8 +4,9 @@
 //! the same matrix must agree bit-for-bit on every statistic a figure
 //! binary reads.
 
-use prf_bench::runner::{run_matrix_with_threads, Job};
-use prf_bench::{experiment_gpu, run_workload_averaged};
+use prf_bench::runner::{run_matrix_resilient_configured, Job, RetryPolicy};
+use prf_bench::{average_seed_results, experiment_gpu, seed_jobs};
+use prf_core::ExperimentResult;
 use prf_core::{PartitionedRfConfig, RfKind, RfcConfig};
 use prf_sim::SchedulerPolicy;
 
@@ -41,31 +42,35 @@ fn matrix() -> Vec<Job> {
         .collect()
 }
 
+/// Runs `jobs` on `threads` workers; every job must succeed.
+fn run(jobs: &[Job], threads: usize) -> Vec<ExperimentResult> {
+    run_matrix_resilient_configured(jobs, RetryPolicy::none(), threads, None, None)
+        .expect_complete()
+}
+
 #[test]
 fn parallel_matrix_is_bit_identical_to_serial() {
     let jobs = matrix();
-    let serial = run_matrix_with_threads(&jobs, 1);
-    let parallel = run_matrix_with_threads(&jobs, 4);
+    let serial = run(&jobs, 1);
+    let parallel = run(&jobs, 4);
     assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.name, p.name, "results must come back in input order");
-        let (a, b) = (&s.result, &p.result);
-        assert_eq!(a.cycles, b.cycles, "{}: cycles differ", s.name);
+    for ((job, a), b) in jobs.iter().zip(&serial).zip(&parallel) {
+        assert_eq!(a.cycles, b.cycles, "{}: cycles differ", job.name);
         assert_eq!(
             a.dynamic_energy_pj, b.dynamic_energy_pj,
             "{}: dynamic energy differs",
-            s.name
+            job.name
         );
         assert_eq!(
             a.stats.partition_accesses, b.stats.partition_accesses,
             "{}: partition access counts differ",
-            s.name
+            job.name
         );
         assert_eq!(a.stats.instructions, b.stats.instructions);
-        assert_eq!(a.telemetry, b.telemetry, "{}: telemetry differs", s.name);
+        assert_eq!(a.telemetry, b.telemetry, "{}: telemetry differs", job.name);
         let audit = a.audit.as_ref().expect("audit enabled");
-        assert!(audit.is_clean(), "{}: {audit}", s.name);
-        assert_eq!(a.audit, b.audit, "{}: audit counters differ", s.name);
+        assert!(audit.is_clean(), "{}: {audit}", job.name);
+        assert_eq!(a.audit, b.audit, "{}: audit counters differ", job.name);
     }
 }
 
@@ -74,15 +79,9 @@ fn seed_averaging_is_thread_count_independent() {
     let gpu = experiment_gpu(SchedulerPolicy::Gto);
     let w = prf_workloads::by_name("BFS").unwrap();
     let rf = RfKind::Partitioned(PartitionedRfConfig::paper_default(gpu.num_rf_banks));
-    // run_workload_averaged reads PRF_THREADS through the runner; pin the
-    // pool size per call by setting the env var around each sweep.
-    // (Env mutation is safe here: Rust tests in one binary share a
-    // process, but this test file has no other env users.)
-    std::env::set_var("PRF_THREADS", "1");
-    let serial = run_workload_averaged(&w, &gpu, &rf, 3);
-    std::env::set_var("PRF_THREADS", "4");
-    let parallel = run_workload_averaged(&w, &gpu, &rf, 3);
-    std::env::remove_var("PRF_THREADS");
+    let jobs = seed_jobs(&w, &gpu, &rf, 3);
+    let serial = average_seed_results(&run(&jobs, 1));
+    let parallel = average_seed_results(&run(&jobs, 4));
     assert_eq!(serial.cycles, parallel.cycles);
     assert_eq!(serial.cycles_min, parallel.cycles_min);
     assert_eq!(serial.cycles_max, parallel.cycles_max);

@@ -1,15 +1,16 @@
 //! Fault-injection smoke test for CI: a small matrix with injected
-//! faults, a deliberately rejected job, and a deliberately hanging job
+//! faults, a deliberately rejected job, and a deliberately runaway job
 //! must come back as partial results — a [`JobOutcome`] for every job, no
 //! lost healthy results, and a clean conservation audit on the faulted
 //! runs.
 
-use std::time::Duration;
-
-use prf_bench::runner::{run_matrix_resilient_with_threads, Job, JobOutcome, RetryPolicy};
+use prf_bench::runner::{
+    run_matrix_resilient_configured, Job, JobOutcome, MatrixOutcome, RetryPolicy,
+};
 use prf_bench::{experiment_gpu, fault_config_for};
-use prf_core::RfKind;
+use prf_core::{Launch, RfKind};
 use prf_finfet::NTV;
+use prf_isa::{parse_kernel, GridConfig};
 use prf_sim::{GpuConfig, SchedulerPolicy};
 
 /// An audited NTV job carrying the standard fault campaign.
@@ -24,6 +25,10 @@ fn faulted_job(name: &str, seed: u64) -> Job {
         .with_faults(Some(fault_config_for(42, NTV)))
 }
 
+fn run(jobs: &[Job], threads: usize) -> MatrixOutcome {
+    run_matrix_resilient_configured(jobs, RetryPolicy::none(), threads, None, None)
+}
+
 #[test]
 fn crashing_matrix_returns_partial_results_with_clean_audits() {
     let mut jobs = vec![
@@ -35,7 +40,7 @@ fn crashing_matrix_returns_partial_results_with_clean_audits() {
     // the engine classifies as a fail-fast rejection.
     jobs[1].gpu.max_cycles = 1;
 
-    let outcome = run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 3);
+    let outcome = run(&jobs, 3);
     assert_eq!(
         outcome.reports.len(),
         jobs.len(),
@@ -75,34 +80,42 @@ fn crashing_matrix_returns_partial_results_with_clean_audits() {
 }
 
 #[test]
-fn hanging_job_times_out_without_taking_the_matrix_down() {
-    // A 1 ms watchdog budget: the BFS simulation cannot finish that fast,
-    // so the job is reported TimedOut — while a zero-job matrix of
-    // neighbours would still drain. (Retries would just time out again;
-    // keep the test quick with none.)
-    let jobs = vec![faulted_job("too-slow", 0)];
-    let policy = RetryPolicy {
-        timeout: Some(Duration::from_millis(1)),
-        retries: 0,
-        backoff: Duration::ZERO,
-    };
-    let outcome = run_matrix_resilient_with_threads(&jobs, policy, 1);
-    assert_eq!(outcome.reports.len(), 1);
-    assert_eq!(
-        outcome.reports[0].outcome,
-        JobOutcome::TimedOut {
-            timeout: Duration::from_millis(1)
-        }
+fn runaway_kernel_is_stopped_by_the_cycle_limit() {
+    // No wall-clock watchdog: a kernel that branches to itself forever is
+    // bounded by `GpuConfig::max_cycles`, which turns it into a
+    // deterministic `CycleLimitExceeded` rejection — while its neighbours
+    // finish with clean audits.
+    let mut jobs = vec![
+        faulted_job("healthy-a", 0),
+        faulted_job("spin", 1),
+        faulted_job("healthy-b", 2),
+    ];
+    let spin = parse_kernel(".kernel spin\ntop:\n  bra top\n  exit\n").unwrap();
+    jobs[1].workload.launches = vec![Launch::new(spin, GridConfig::new(1, 32))];
+    jobs[1].gpu.max_cycles = 20_000;
+
+    let outcome = run(&jobs, 3);
+    for i in [0, 2] {
+        let report = &outcome.reports[i];
+        assert_eq!(report.outcome, JobOutcome::Completed, "{}", report.name);
+        let audit = report.result.as_ref().unwrap().audit.as_ref().unwrap();
+        assert!(audit.is_clean(), "{audit}");
+    }
+    let spin = &outcome.reports[1];
+    assert!(
+        matches!(&spin.outcome, JobOutcome::Rejected { reason } if reason.contains("cycle")),
+        "runaway job must be rejected by the cycle limit: {}",
+        spin.outcome
     );
-    assert!(outcome.reports[0].result.is_none());
+    assert!(spin.result.is_none());
     assert_eq!(outcome.failed_jobs(), 1);
 }
 
 #[test]
 fn faulted_matrix_is_deterministic_across_thread_counts() {
     let jobs: Vec<Job> = (0..3).map(|s| faulted_job("det", s)).collect();
-    let serial = run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 1);
-    let parallel = run_matrix_resilient_with_threads(&jobs, RetryPolicy::none(), 3);
+    let serial = run(&jobs, 1);
+    let parallel = run(&jobs, 3);
     for (a, b) in serial.reports.iter().zip(&parallel.reports) {
         let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
         assert_eq!(ra.cycles, rb.cycles);

@@ -325,7 +325,9 @@ mod tests {
 
     #[test]
     fn memory_regions_do_not_overlap() {
-        assert!(OUT_BASE >= MAX_THREADS);
-        assert!((OUT_BASE + MAX_THREADS) as usize <= MEM_WORDS);
+        const {
+            assert!(OUT_BASE >= MAX_THREADS);
+            assert!((OUT_BASE + MAX_THREADS) as usize <= MEM_WORDS);
+        }
     }
 }
