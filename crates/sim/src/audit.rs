@@ -315,6 +315,19 @@ impl Auditor {
         });
     }
 
+    /// Flags SM state cached for the issue stage (warp bitmasks, collector
+    /// free count and age order) that disagrees with a scan of the state it
+    /// caches; `warp` is the lowest disagreeing slot, when one applies.
+    pub fn note_cached_state_mismatch(&mut self, warp: Option<usize>, detail: String, cycle: u64) {
+        self.violations.push(AuditViolation {
+            invariant: "cached issue state",
+            cycle,
+            sm: Some(self.sm),
+            warp,
+            detail,
+        });
+    }
+
     /// Runs the end-of-run checks against the SM's independently maintained
     /// statistics and produces the report. `rfc_evictions` is the model's
     /// own dirty-evict count (0 for models without a cache).

@@ -51,6 +51,10 @@ pub struct CollectorEntry {
     pub warp_slot: usize,
     /// Pending and completed source reads.
     reads: Vec<PendingRead>,
+    /// Reads still waiting for a bank grant.
+    ungranted: usize,
+    /// Latest data-return cycle among the granted reads.
+    data_ready_at: u64,
     /// Where the instruction goes after collection.
     pub dest: CollectDest,
     /// Monotonic sequence number for age-ordered arbitration.
@@ -102,6 +106,11 @@ pub struct CollectedInstr {
 #[derive(Debug)]
 pub struct OperandCollector {
     units: Vec<Option<CollectorEntry>>,
+    /// Number of `None` entries in `units`.
+    free: usize,
+    /// Indices of the occupied units, oldest entry (lowest `seq`) first.
+    /// Allocation appends, so the list stays age-ordered without sorting.
+    by_age: Vec<usize>,
     /// Cycle until which each bank is busy (exclusive).
     bank_busy_until: Vec<u64>,
     writeback_queue: VecDeque<WritebackRequest>,
@@ -113,8 +122,8 @@ pub struct OperandCollector {
     pipelined: bool,
     /// Scratch reused across ticks: per-bank granted flags.
     granted_scratch: Vec<bool>,
-    /// Scratch reused across ticks: occupied units in age order.
-    order_scratch: Vec<usize>,
+    /// Scratch reused across ticks: units that finished collecting.
+    ready_scratch: Vec<usize>,
     /// Scratch reused across ticks: writebacks denied this cycle.
     wb_scratch: VecDeque<WritebackRequest>,
     /// Recycled `reads` vectors of released entries, so steady-state
@@ -135,6 +144,8 @@ impl OperandCollector {
     pub fn new(num_units: usize, num_banks: usize, pipelined: bool) -> Self {
         OperandCollector {
             units: (0..num_units).map(|_| None).collect(),
+            free: num_units,
+            by_age: Vec::with_capacity(num_units),
             bank_busy_until: vec![0; num_banks],
             writeback_queue: VecDeque::new(),
             inflight_writes: Vec::new(),
@@ -142,7 +153,7 @@ impl OperandCollector {
             bank_conflict_waits: 0,
             pipelined,
             granted_scratch: vec![false; num_banks],
-            order_scratch: Vec::with_capacity(num_units),
+            ready_scratch: Vec::with_capacity(num_units),
             wb_scratch: VecDeque::new(),
             reads_pool: Vec::with_capacity(num_units),
         }
@@ -156,14 +167,44 @@ impl OperandCollector {
         }
     }
 
-    /// Number of free collector units.
-    pub fn free_units(&self) -> usize {
-        self.units.iter().filter(|u| u.is_none()).count()
-    }
-
     /// True if at least one unit is free.
     pub fn has_free_unit(&self) -> bool {
-        self.units.iter().any(|u| u.is_none())
+        self.free > 0
+    }
+
+    /// Compares the cached free count, age list and per-entry read
+    /// progress with a scan of the units; `Some(description)` on a
+    /// mismatch (audit cross-check).
+    pub fn cached_state_mismatch(&self) -> Option<String> {
+        for (i, e) in self.units.iter().enumerate() {
+            let Some(e) = e else { continue };
+            let ungranted = e.reads.iter().filter(|r| r.ready_at.is_none()).count();
+            let ready_at = e.reads.iter().filter_map(|r| r.ready_at).max().unwrap_or(0);
+            if (ungranted, ready_at) != (e.ungranted, e.data_ready_at) {
+                return Some(format!(
+                    "collector unit {i} caches {} ungranted reads ready at {} but its reads \
+                     give {ungranted} ready at {ready_at}",
+                    e.ungranted, e.data_ready_at
+                ));
+            }
+        }
+        let free = self.units.iter().filter(|u| u.is_none()).count();
+        if free != self.free {
+            return Some(format!(
+                "collector free count {} but {free} units are free",
+                self.free
+            ));
+        }
+        let mut occupied: Vec<usize> = (0..self.units.len())
+            .filter(|&i| self.units[i].is_some())
+            .collect();
+        occupied.sort_by_key(|&i| self.units[i].as_ref().map(|e| e.seq));
+        (occupied != self.by_age).then(|| {
+            format!(
+                "collector age list {:?} but occupied units by age are {occupied:?}",
+                self.by_age
+            )
+        })
     }
 
     /// Allocates a unit for an issued instruction.
@@ -190,11 +231,15 @@ impl OperandCollector {
         }));
         self.units[slot] = Some(CollectorEntry {
             warp_slot,
+            ungranted: pending.len(),
+            data_ready_at: 0,
             reads: pending,
             dest,
             seq,
             token,
         });
+        self.free -= 1;
+        self.by_age.push(slot);
         true
     }
 
@@ -301,38 +346,42 @@ impl OperandCollector {
                 u64::from(latency.max(1))
             }
         };
-        let mut order = std::mem::take(&mut self.order_scratch);
-        order.clear();
-        order.extend((0..self.units.len()).filter(|&i| self.units[i].is_some()));
-        order.sort_by_key(|&i| self.units[i].as_ref().map(|e| e.seq));
-        for &i in &order {
-            let entry = self.units[i].as_mut().expect("filtered to occupied units");
-            for pr in entry.reads.iter_mut().filter(|r| r.ready_at.is_none()) {
-                let bank = pr.access.bank % num_banks;
-                if !granted_bank[bank] && self.bank_busy_until[bank] <= cycle {
-                    granted_bank[bank] = true;
-                    let lat = u64::from(pr.access.latency.max(1));
-                    self.bank_busy_until[bank] = cycle + occupancy(pr.access.latency);
-                    pr.ready_at = Some(cycle + lat);
-                    on_access(pr.access, AccessKind::Read);
-                } else {
-                    self.bank_conflict_waits += 1;
+        // A read granted this cycle returns its data no earlier than the
+        // next one, so an entry's readiness is known once its own reads
+        // have been arbitrated.
+        let mut ready = std::mem::take(&mut self.ready_scratch);
+        ready.clear();
+        for &i in &self.by_age {
+            let entry = self.units[i]
+                .as_mut()
+                .expect("age list holds occupied units");
+            if entry.ungranted > 0 {
+                for pr in entry.reads.iter_mut().filter(|r| r.ready_at.is_none()) {
+                    let bank = pr.access.bank % num_banks;
+                    if !granted_bank[bank] && self.bank_busy_until[bank] <= cycle {
+                        granted_bank[bank] = true;
+                        let lat = u64::from(pr.access.latency.max(1));
+                        self.bank_busy_until[bank] = cycle + occupancy(pr.access.latency);
+                        pr.ready_at = Some(cycle + lat);
+                        entry.ungranted -= 1;
+                        entry.data_ready_at = entry.data_ready_at.max(cycle + lat);
+                        on_access(pr.access, AccessKind::Read);
+                    } else {
+                        self.bank_conflict_waits += 1;
+                    }
                 }
             }
+            if entry.ungranted == 0 && entry.data_ready_at <= cycle {
+                ready.push(i);
+            }
         }
-
-        self.order_scratch = order;
         self.granted_scratch = granted_bank;
 
-        // 3. Release fully-collected entries.
-        for unit in self.units.iter_mut() {
-            let ready = unit.as_ref().is_some_and(|e| {
-                e.reads
-                    .iter()
-                    .all(|r| r.ready_at.is_some_and(|t| t <= cycle))
-            });
-            if ready {
-                let mut e = unit.take().expect("checked is_some");
+        // 3. Release fully-collected entries, in unit-index order.
+        if !ready.is_empty() {
+            ready.sort_unstable();
+            for &i in &ready {
+                let mut e = self.units[i].take().expect("ready units are occupied");
                 collected.push(CollectedInstr {
                     warp_slot: e.warp_slot,
                     dest: e.dest,
@@ -341,7 +390,11 @@ impl OperandCollector {
                 e.reads.clear();
                 self.reads_pool.push(e.reads);
             }
+            self.free += ready.len();
+            let units = &self.units;
+            self.by_age.retain(|&i| units[i].is_some());
         }
+        self.ready_scratch = ready;
     }
 
     /// The next cycle (strictly after `cycle`) at which ticking the
@@ -365,7 +418,7 @@ impl OperandCollector {
         for &(done_at, _) in &self.inflight_writes {
             merge(done_at);
         }
-        for entry in self.units.iter().flatten() {
+        for entry in self.by_age.iter().filter_map(|&i| self.units[i].as_ref()) {
             let mut all_ready_now = true;
             for r in &entry.reads {
                 match r.ready_at {
@@ -392,7 +445,7 @@ impl OperandCollector {
 
     /// True when no instruction or write is outstanding.
     pub fn is_idle(&self) -> bool {
-        self.units.iter().all(|u| u.is_none())
+        self.free == self.units.len()
             && self.writeback_queue.is_empty()
             && self.inflight_writes.is_empty()
     }
@@ -438,7 +491,8 @@ mod tests {
         assert!(oc.allocate(0, &[stv(0)], CollectDest::Memory, 1));
         assert!(oc.allocate(1, &[stv(1)], CollectDest::Memory, 2));
         assert!(!oc.allocate(2, &[stv(2)], CollectDest::Memory, 3));
-        assert_eq!(oc.free_units(), 0);
+        assert!(!oc.has_free_unit());
+        assert_eq!(oc.cached_state_mismatch(), None);
     }
 
     #[test]

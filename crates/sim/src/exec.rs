@@ -7,6 +7,12 @@
 //! timing model never issues an instruction whose inputs are still in
 //! flight, so the functional-first shortcut cannot produce value anomalies
 //! visible to the timing model.
+//!
+//! Execution is register-major, matching [`WarpContext`]'s layout: each
+//! source operand is gathered once per instruction as a row of
+//! [`WARP_SIZE`] values, a guard is one mask operation on the predicate's
+//! lane mask, and the instruction then walks the set bits of its exec mask
+//! in ascending lane order (so global and shared stores keep lane order).
 
 use prf_isa::{Dst, Instruction, Opcode, Operand, ReconvergenceTable, SpecialReg, WARP_SIZE};
 
@@ -70,21 +76,46 @@ impl Default for ExecOutcome {
     }
 }
 
-fn lane_operand(warp: &WarpContext, env: &ExecEnv, lane: usize, op: Operand) -> u32 {
+/// Value of special register `s` in `lane`.
+fn special(warp: &WarpContext, env: &ExecEnv, lane: usize, s: SpecialReg) -> u32 {
+    let tid = warp.warp_in_cta * WARP_SIZE as u32 + lane as u32;
+    match s {
+        SpecialReg::TidX => tid,
+        SpecialReg::CtaIdX => warp.cta.0,
+        SpecialReg::NTidX => env.threads_per_cta,
+        SpecialReg::NCtaIdX => env.num_ctas,
+        SpecialReg::LaneId => lane as u32,
+        SpecialReg::WarpId => warp.warp_in_cta,
+        SpecialReg::GlobalTid => warp.cta.0 * env.threads_per_cta + tid,
+    }
+}
+
+/// Indices of the set bits of `mask`, ascending: the lanes of a lane
+/// mask, or the slots of a warp-slot mask.
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// One source operand across the warp: a register row is copied whole,
+/// special registers are evaluated only in the lanes of `mask`, and an
+/// absent operand reads as zero.
+fn gather(warp: &WarpContext, env: &ExecEnv, op: Option<Operand>, mask: u32) -> [u32; WARP_SIZE] {
     match op {
-        Operand::Reg(r) => warp.regs[lane][r.index()],
-        Operand::Imm(v) => v,
-        Operand::Special(s) => {
-            let tid = warp.warp_in_cta * WARP_SIZE as u32 + lane as u32;
-            match s {
-                SpecialReg::TidX => tid,
-                SpecialReg::CtaIdX => warp.cta.0,
-                SpecialReg::NTidX => env.threads_per_cta,
-                SpecialReg::NCtaIdX => env.num_ctas,
-                SpecialReg::LaneId => lane as u32,
-                SpecialReg::WarpId => warp.warp_in_cta,
-                SpecialReg::GlobalTid => warp.cta.0 * env.threads_per_cta + tid,
+        None => [0; WARP_SIZE],
+        Some(Operand::Reg(r)) => warp.regs[r.index()],
+        Some(Operand::Imm(v)) => [v; WARP_SIZE],
+        Some(Operand::Special(s)) => {
+            let mut row = [0; WARP_SIZE];
+            for lane in bits(mask.into()) {
+                row[lane] = special(warp, env, lane, s);
             }
+            row
         }
     }
 }
@@ -132,13 +163,8 @@ pub fn execute_warp_instruction_into(
     let guard_mask = match &instr.guard {
         None => active,
         Some(g) => {
-            let mut m = 0u32;
-            for lane in 0..WARP_SIZE {
-                if active & (1 << lane) != 0 && warp.preds[lane][g.pred.index()] == g.expected {
-                    m |= 1 << lane;
-                }
-            }
-            m
+            let p = warp.preds[g.pred.index()];
+            active & if g.expected { p } else { !p }
         }
     };
 
@@ -182,88 +208,64 @@ pub fn execute_warp_instruction_into(
         guard_mask
     };
 
-    // Shuffle needs a snapshot of the source register across lanes
-    // (stack array: this runs on the per-issue hot path).
-    let shfl_snapshot: Option<[u32; WARP_SIZE]> = if instr.opcode == Opcode::Shfl {
-        let src = instr.srcs[0]
-            .and_then(|o| o.as_reg())
-            .expect("shfl source must be a register");
-        let mut snap = [0u32; WARP_SIZE];
-        for (l, s) in snap.iter_mut().enumerate() {
-            *s = warp.regs[l][src.index()];
-        }
-        Some(snap)
-    } else {
-        None
-    };
-
-    for lane in 0..WARP_SIZE {
-        if exec_mask & (1 << lane) == 0 {
-            continue;
-        }
-        let fetch =
-            |i: usize| -> u32 { instr.srcs[i].map_or(0, |o| lane_operand(warp, env, lane, o)) };
+    // Operands are gathered once, before any lane writes its result, so a
+    // destination that is also a source (and Shfl's cross-lane reads) sees
+    // the values from before the instruction. Memory accesses run in
+    // ascending lane order.
+    let [a, b, c] = instr.srcs.map(|op| gather(warp, env, op, exec_mask));
+    for lane in bits(exec_mask.into()) {
         let result: Option<u32> = match instr.opcode {
             Opcode::Ldg => {
-                let addr = fetch(0).wrapping_add(instr.mem_offset);
+                let addr = a[lane].wrapping_add(instr.mem_offset);
                 outcome.global_addrs.push(addr);
                 Some(global.read(addr))
             }
             Opcode::Stg => {
-                let addr = fetch(0).wrapping_add(instr.mem_offset);
+                let addr = a[lane].wrapping_add(instr.mem_offset);
                 outcome.global_addrs.push(addr);
-                global.write(addr, fetch(1));
+                global.write(addr, b[lane]);
                 None
             }
             Opcode::Lds => {
                 outcome.shared_access = true;
-                Some(shared.read(fetch(0).wrapping_add(instr.mem_offset)))
+                Some(shared.read(a[lane].wrapping_add(instr.mem_offset)))
             }
             Opcode::Sts => {
                 outcome.shared_access = true;
-                shared.write(fetch(0).wrapping_add(instr.mem_offset), fetch(1));
+                shared.write(a[lane].wrapping_add(instr.mem_offset), b[lane]);
                 None
             }
-            Opcode::Shfl => {
-                let src_lane = (fetch(1) & 31) as usize;
-                Some(shfl_snapshot.as_ref().expect("snapshot exists for shfl")[src_lane])
-            }
+            Opcode::Shfl => Some(a[(b[lane] & 31) as usize]),
             Opcode::Selp => {
-                // Guard carries the predicate: by construction `selp` is
-                // built with a guard, so lanes reaching here select src0;
-                // but we want value selection, not squashing. Handle via
-                // direct eval with the guard value.
+                // The guard is the selector: every active lane runs and
+                // picks src0 where the predicate holds, src1 elsewhere.
                 let g = instr
                     .guard
                     .as_ref()
                     .expect("selp carries its predicate as guard");
-                let pv = warp.preds[lane][g.pred.index()] == g.expected;
-                Some(Opcode::Selp.eval([fetch(0), fetch(1), u32::from(pv)]))
+                let pv = ((warp.preds[g.pred.index()] >> lane) & 1 == 1) == g.expected;
+                Some(Opcode::Selp.eval([a[lane], b[lane], u32::from(pv)]))
             }
             Opcode::Nop => None,
             Opcode::Setp(cmp) => {
-                let v = cmp.eval(fetch(0), fetch(1));
                 if let Dst::Pred(p) = instr.dst {
-                    warp.preds[lane][p.index()] = v;
+                    let bit = 1u32 << lane;
+                    if cmp.eval(a[lane], b[lane]) {
+                        warp.preds[p.index()] |= bit;
+                    } else {
+                        warp.preds[p.index()] &= !bit;
+                    }
                 }
                 None
             }
-            op => Some(op.eval([fetch(0), fetch(1), fetch(2)])),
+            op => Some(op.eval([a[lane], b[lane], c[lane]])),
         };
         if let (Some(v), Dst::Reg(r)) = (result, instr.dst) {
-            warp.regs[lane][r.index()] = v;
+            warp.regs[r.index()][lane] = v;
         }
     }
 
     warp.stack.advance(pc + 1);
-}
-
-/// `Selp` executes in *all* active lanes (it is a value select, not a
-/// guarded op), so its guard must not squash lanes. This helper tells the
-/// issue logic whether an instruction's guard squashes lanes (`true` for
-/// everything except `Selp`).
-pub fn guard_squashes(instr: &Instruction) -> bool {
-    instr.opcode != Opcode::Selp
 }
 
 #[cfg(test)]
@@ -332,10 +334,10 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
         // warp_in_cta = 1: tid = 32 + lane.
-        assert_eq!(w.regs[0][0], 32);
-        assert_eq!(w.regs[5][0], 37);
+        assert_eq!(w.reg(0, Reg(0)), 32);
+        assert_eq!(w.reg(5, Reg(0)), 37);
         // cta 1, 64 thr/cta: gtid = 64 + tid.
-        assert_eq!(w.regs[5][1], 64 + 37);
+        assert_eq!(w.reg(5, Reg(1)), 64 + 37);
     }
 
     #[test]
@@ -350,7 +352,7 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
         for lane in 0..WARP_SIZE {
-            assert_eq!(w.regs[lane][2], 42);
+            assert_eq!(w.reg(lane, Reg(2)), 42);
         }
     }
 
@@ -369,7 +371,7 @@ mod tests {
         let mut g = GlobalMemory::new(4096);
         run_to_completion(&k, &mut w, &mut g);
         assert_eq!(g.read(1032), 5); // tid 32 is lane 0 of warp 1
-        assert_eq!(w.regs[0][3], 5);
+        assert_eq!(w.reg(0, Reg(3)), 5);
     }
 
     #[test]
@@ -392,10 +394,10 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
         for lane in 0..8 {
-            assert_eq!(w.regs[lane][1], 1, "lane {lane} (tid<40) takes then");
+            assert_eq!(w.reg(lane, Reg(1)), 1, "lane {lane} (tid<40) takes then");
         }
         for lane in 8..WARP_SIZE {
-            assert_eq!(w.regs[lane][1], 2, "lane {lane} takes else");
+            assert_eq!(w.reg(lane, Reg(1)), 2, "lane {lane} takes else");
         }
     }
 
@@ -419,11 +421,11 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
         // Lane 0: R0=0 -> one iteration (do-while), R2=10.
-        assert_eq!(w.regs[0][2], 10);
+        assert_eq!(w.reg(0, Reg(2)), 10);
         // Lane 3: R0=3 -> three iterations, R2=30.
-        assert_eq!(w.regs[3][2], 30);
+        assert_eq!(w.reg(3, Reg(2)), 30);
         // Lane 7 (7&3=3): 30 as well.
-        assert_eq!(w.regs[7][2], 30);
+        assert_eq!(w.reg(7, Reg(2)), 30);
     }
 
     #[test]
@@ -438,7 +440,7 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
         for lane in 0..WARP_SIZE {
-            assert_eq!(w.regs[lane][2], 3);
+            assert_eq!(w.reg(lane, Reg(2)), 3);
         }
     }
 
@@ -455,8 +457,8 @@ mod tests {
         let mut w = fresh_warp(4);
         let mut g = GlobalMemory::new(1024);
         run_to_completion(&k, &mut w, &mut g);
-        assert_eq!(w.regs[0][3], 100);
-        assert_eq!(w.regs[20][3], 200);
+        assert_eq!(w.reg(0, Reg(3)), 100);
+        assert_eq!(w.reg(20, Reg(3)), 200);
     }
 
     #[test]
@@ -486,8 +488,8 @@ mod tests {
             let i = k.fetch(pc).clone();
             exec_step(&mut w, &i, &rt, &e, &mut g, &mut s);
         }
-        assert_eq!(w.regs[0][1], 9);
-        assert_eq!(w.regs[31][1], 0, "exited lane never ran the mov");
+        assert_eq!(w.reg(0, Reg(1)), 9);
+        assert_eq!(w.reg(31, Reg(1)), 0, "exited lane never ran the mov");
     }
 
     #[test]
@@ -518,8 +520,8 @@ mod tests {
         let mut g = GlobalMemory::new(1024);
         let mut s = SharedMemory::new(64);
         exec_step(&mut w, &k.fetch(0).clone(), &rt, &env(), &mut g, &mut s);
-        assert_eq!(w.regs[0][0], 1);
-        assert_eq!(w.regs[29][0], 0, "inactive lane untouched");
-        assert_eq!(w.regs[31][0], 0);
+        assert_eq!(w.reg(0, Reg(0)), 1);
+        assert_eq!(w.reg(29, Reg(0)), 0, "inactive lane untouched");
+        assert_eq!(w.reg(31, Reg(0)), 0);
     }
 }

@@ -2,6 +2,7 @@
 //! the load/store unit with warp-level coalescing.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Functional global memory: a flat array of 32-bit words with wrapping
 /// addressing (addresses are word indices masked to the array size).
@@ -148,6 +149,33 @@ impl SharedMemory {
 /// Words per coalescing segment / cache line (128 bytes).
 pub const LINE_WORDS: u32 = 32;
 
+/// A multiplicative hasher for the simulator's internal integer keys
+/// (line numbers): one multiply per key instead of SipHash. Keys never come
+/// from outside the program, so collision resistance is not needed, and no
+/// map hashed with it is ever iterated, so results do not depend on it.
+#[derive(Debug, Clone, Copy, Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// A tiny fully-associative LRU cache over 128-byte lines, standing in for
 /// the per-SM L1.
 ///
@@ -164,7 +192,7 @@ pub const LINE_WORDS: u32 = 32;
 #[derive(Debug, Clone)]
 pub struct L1Cache {
     /// Resident lines, each mapped to the stamp of its latest access.
-    stamps: HashMap<u32, u64>,
+    stamps: HashMap<u32, u64, BuildHasherDefault<MulHasher>>,
     /// (stamp, line) in access order, oldest first. An entry is live only
     /// if its stamp matches `stamps[line]`.
     order: VecDeque<(u64, u32)>,
@@ -181,7 +209,7 @@ impl L1Cache {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         L1Cache {
-            stamps: HashMap::with_capacity(capacity),
+            stamps: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
             order: VecDeque::with_capacity(2 * capacity),
             next_stamp: 0,
             capacity,
@@ -515,7 +543,7 @@ mod tests {
         // completes first. The SM releases each destination register only
         // when its own token completes, so the scoreboard must stay
         // coherent through the out-of-order writeback.
-        use crate::scoreboard::Scoreboard;
+        use crate::scoreboard::{Hazard, Scoreboard};
         use prf_isa::{KernelBuilder, Reg};
 
         let mut kb = KernelBuilder::new("two-loads");
@@ -546,7 +574,7 @@ mod tests {
                 // alone, only the slow op's destination still blocks.
                 if completions == [2] {
                     assert_eq!(sb.pending_count(), 1);
-                    assert!(sb.blocked(consumer), "r1 still pending");
+                    assert!(sb.blocks(&Hazard::of(consumer)), "r1 still pending");
                 }
             }
         }
@@ -556,7 +584,7 @@ mod tests {
             "inverted latencies invert completion"
         );
         assert!(sb.is_clear(), "every reserve matched by a release");
-        assert!(!sb.blocked(consumer));
+        assert!(!sb.blocks(&Hazard::of(consumer)));
         assert!(lsu.is_idle());
     }
 

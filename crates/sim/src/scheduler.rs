@@ -65,7 +65,9 @@ pub trait WarpScheduler: fmt::Debug + Send {
     /// True when calling [`WarpScheduler::prioritize`] on a cycle where no
     /// warp issues leaves the scheduler's observable state unchanged. The
     /// skip-ahead fast-forward relies on this to elide idle cycles: GTO and
-    /// LRR mutate state only in `on_issue`, while the two-level scheduler
+    /// LRR change their order only in `on_issue` (GTO's age list caches a
+    /// sorted order that is the same whenever it is built), while the
+    /// two-level scheduler
     /// demotes/promotes and the fetch-group scheduler rotates inside
     /// `prioritize` itself, so those two veto skipping.
     fn idle_prioritize_is_noop(&self) -> bool {
@@ -96,11 +98,17 @@ pub fn build_scheduler(policy: SchedulerPolicy) -> Box<dyn WarpScheduler> {
 
 /// Greedy-then-oldest: keep issuing from the last-issued warp; when it
 /// cannot issue, fall back to the oldest (earliest-dispatched) warp.
+///
+/// Ages are kept in a list sorted by `(dispatch_cycle, slot)`: a warp is
+/// inserted the first time it appears in the views and removed when it
+/// finishes, so no cycle sorts. Slots must be below 64.
 #[derive(Debug, Default)]
 pub struct GtoScheduler {
     greedy: Option<usize>,
-    /// Scratch reused across cycles for age sorting.
-    rest: Vec<(u64, usize)>,
+    /// Warps seen since they started, oldest first.
+    by_age: Vec<(u64, usize)>,
+    /// Slots present in `by_age`.
+    known: u64,
 }
 
 impl GtoScheduler {
@@ -113,20 +121,28 @@ impl GtoScheduler {
 impl WarpScheduler for GtoScheduler {
     fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
+        let mut present = 0u64;
+        for w in warps.iter().filter(|w| w.resident) {
+            let bit = 1u64 << w.slot;
+            present |= bit;
+            if self.known & bit == 0 {
+                let age = (w.dispatch_cycle, w.slot);
+                let at = self.by_age.partition_point(|&a| a < age);
+                self.by_age.insert(at, age);
+                self.known |= bit;
+            }
+        }
         if let Some(g) = self.greedy {
-            if warps.iter().any(|w| w.slot == g && w.resident) {
+            if present & (1u64 << g) != 0 {
                 out.push(g);
             }
         }
-        self.rest.clear();
-        self.rest.extend(
-            warps
+        out.extend(
+            self.by_age
                 .iter()
-                .filter(|w| w.resident && Some(w.slot) != self.greedy)
-                .map(|w| (w.dispatch_cycle, w.slot)),
+                .map(|&(_, slot)| slot)
+                .filter(|&slot| present & (1u64 << slot) != 0 && Some(slot) != self.greedy),
         );
-        self.rest.sort_unstable();
-        out.extend(self.rest.iter().map(|&(_, slot)| slot));
     }
 
     fn on_issue(&mut self, slot: usize, _cycle: u64) {
@@ -138,6 +154,10 @@ impl WarpScheduler for GtoScheduler {
     fn on_warp_finish(&mut self, slot: usize) {
         if self.greedy == Some(slot) {
             self.greedy = None;
+        }
+        if self.known & (1u64 << slot) != 0 {
+            self.known &= !(1u64 << slot);
+            self.by_age.retain(|&(_, s)| s != slot);
         }
     }
 

@@ -3,6 +3,42 @@
 
 use prf_isa::{Instruction, PredReg, Reg, MAX_ARCH_REGS, NUM_PRED_REGS};
 
+/// The scoreboard-relevant operands of one instruction, as masks:
+/// computed once per pc when a kernel is loaded, so the issue-time hazard
+/// test is two ANDs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Hazard {
+    /// Registers read or written.
+    pub regs: u64,
+    /// Predicates written or read as guard.
+    pub preds: u8,
+    /// The instruction reads or writes a register, so it needs an operand
+    /// collector unit to issue.
+    pub needs_collector: bool,
+}
+
+impl Hazard {
+    /// The hazard masks of `instr`.
+    pub fn of(instr: &Instruction) -> Self {
+        let mut regs = 0u64;
+        for r in instr.reg_reads().chain(instr.reg_write()) {
+            regs |= 1u64 << r.index();
+        }
+        let mut preds = 0u8;
+        if let prf_isa::Dst::Pred(p) = instr.dst {
+            preds |= 1u8 << p.index();
+        }
+        if let Some(g) = &instr.guard {
+            preds |= 1u8 << g.pred.index();
+        }
+        Hazard {
+            regs,
+            preds,
+            needs_collector: instr.num_reg_src_operands() > 0 || instr.reg_write().is_some(),
+        }
+    }
+}
+
 /// Scoreboard for one warp.
 ///
 /// A bit per architected register and predicate. An instruction may issue
@@ -21,29 +57,10 @@ impl Scoreboard {
         Self::default()
     }
 
-    /// True if the instruction's operands collide with a pending write.
-    pub fn blocked(&self, instr: &Instruction) -> bool {
-        for r in instr.reg_reads() {
-            if self.reg_pending & (1u64 << r.index()) != 0 {
-                return true;
-            }
-        }
-        if let Some(r) = instr.reg_write() {
-            if self.reg_pending & (1u64 << r.index()) != 0 {
-                return true;
-            }
-        }
-        if let prf_isa::Dst::Pred(p) = instr.dst {
-            if self.pred_pending & (1u8 << p.index()) != 0 {
-                return true;
-            }
-        }
-        if let Some(g) = &instr.guard {
-            if self.pred_pending & (1u8 << g.pred.index()) != 0 {
-                return true;
-            }
-        }
-        false
+    /// True if an instruction with hazard masks `h` collides with a
+    /// pending write.
+    pub fn blocks(&self, h: &Hazard) -> bool {
+        self.reg_pending & h.regs != 0 || self.pred_pending & h.preds != 0
     }
 
     /// Reserves the instruction's destinations at issue.
@@ -96,9 +113,9 @@ mod tests {
         let producer = iadd(1, 2, 3);
         sb.reserve(&producer);
         let consumer = iadd(4, 1, 5);
-        assert!(sb.blocked(&consumer));
+        assert!(sb.blocks(&Hazard::of(&consumer)));
         sb.release_reg(Reg(1));
-        assert!(!sb.blocked(&consumer));
+        assert!(!sb.blocks(&Hazard::of(&consumer)));
         assert!(sb.is_clear());
     }
 
@@ -107,14 +124,14 @@ mod tests {
         let mut sb = Scoreboard::new();
         sb.reserve(&iadd(1, 2, 3));
         let second_writer = iadd(1, 6, 7);
-        assert!(sb.blocked(&second_writer));
+        assert!(sb.blocks(&Hazard::of(&second_writer)));
     }
 
     #[test]
     fn independent_instruction_not_blocked() {
         let mut sb = Scoreboard::new();
         sb.reserve(&iadd(1, 2, 3));
-        assert!(!sb.blocked(&iadd(4, 5, 6)));
+        assert!(!sb.blocks(&Hazard::of(&iadd(4, 5, 6))));
     }
 
     #[test]
@@ -131,7 +148,7 @@ mod tests {
                 expected: true,
             })
             .with_target(0);
-        assert!(sb.blocked(&bra));
+        assert!(sb.blocks(&Hazard::of(&bra)));
         // A branch on P1 is free.
         let bra2 = Instruction::new(Opcode::Bra)
             .with_guard(PredGuard {
@@ -139,9 +156,9 @@ mod tests {
                 expected: true,
             })
             .with_target(0);
-        assert!(!sb.blocked(&bra2));
+        assert!(!sb.blocks(&Hazard::of(&bra2)));
         sb.release_pred(PredReg(0));
-        assert!(!sb.blocked(&bra));
+        assert!(!sb.blocks(&Hazard::of(&bra)));
         assert!(sb.is_clear());
     }
 
@@ -152,6 +169,6 @@ mod tests {
             .with_dst(Dst::Pred(PredReg(2)))
             .with_srcs(&[Operand::Reg(Reg(0)), Operand::Imm(1)]);
         sb.reserve(&setp);
-        assert!(sb.blocked(&setp));
+        assert!(sb.blocks(&Hazard::of(&setp)));
     }
 }

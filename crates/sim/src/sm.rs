@@ -6,8 +6,16 @@
 //! functionally and allocating collector entries for their register
 //! operands, (4) drive the register-file model's per-cycle hook (the
 //! adaptive-FRF epoch detector counts issued instructions here).
+//!
+//! The facts the issue stage consults every cycle are kept up to date where
+//! they change rather than rebuilt by a scan: warp residency, liveness and
+//! barrier waits are `u64` bitmasks over the warp slots (plus one mask of
+//! resident warps per CTA slot), each pc's scoreboard operands are
+//! precomputed as [`Hazard`] masks, and the operand collector keeps its
+//! free-unit count and age order. With `GpuConfig::audit` on, the cached
+//! state is cross-checked against a scan of the warp contexts and collector
+//! units at CTA dispatch, at warp finish and at the end of the run.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use prf_isa::{CtaId, GridConfig, Kernel, PredReg, ReconvergenceTable, Reg};
@@ -15,12 +23,12 @@ use prf_isa::{CtaId, GridConfig, Kernel, PredReg, ReconvergenceTable, Reg};
 use crate::audit::{AuditReport, Auditor};
 use crate::collector::{CollectDest, CollectedInstr, CompletedWrite, OperandCollector};
 use crate::config::GpuConfig;
-use crate::exec::{execute_warp_instruction_into, ExecEnv, ExecOutcome};
+use crate::exec::{bits, execute_warp_instruction_into, ExecEnv, ExecOutcome};
 use crate::mem::{GlobalMemory, GmemView, L1Cache, LoadStoreUnit, SharedMemory};
 use crate::rf::{AccessKind, RegisterFileModel, ResolvedAccess, WarpLifecycle};
 use crate::sampling::{SampleSeries, SmSampler};
 use crate::scheduler::{build_scheduler, SchedulerEvent, WarpScheduler, WarpView};
-use crate::scoreboard::Scoreboard;
+use crate::scoreboard::{Hazard, Scoreboard};
 use crate::stats::SmStats;
 use crate::trace::{TraceEvent, TraceRing};
 use crate::warp::{WarpBlock, WarpContext};
@@ -38,6 +46,8 @@ pub struct KernelImage {
     pub rt: ReconvergenceTable,
     /// Launch geometry.
     pub grid: GridConfig,
+    /// Scoreboard hazard masks of each pc's instruction.
+    pub hazards: Vec<Hazard>,
 }
 
 impl KernelImage {
@@ -46,7 +56,13 @@ impl KernelImage {
     pub fn new(kernel: impl Into<Arc<Kernel>>, grid: GridConfig) -> Self {
         let kernel = kernel.into();
         let rt = ReconvergenceTable::compute(&kernel);
-        KernelImage { kernel, rt, grid }
+        let hazards = kernel.instructions().iter().map(Hazard::of).collect();
+        KernelImage {
+            kernel,
+            rt,
+            grid,
+            hazards,
+        }
     }
 
     fn env(&self) -> ExecEnv {
@@ -57,9 +73,13 @@ impl KernelImage {
     }
 }
 
-#[derive(Debug)]
-struct CtaState {
-    warp_slots: Vec<usize>,
+/// The mask of slots `0..n` (`n <= 64`).
+fn low_mask(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
 }
 
 #[derive(Debug)]
@@ -79,6 +99,26 @@ pub struct Sm {
     config: GpuConfig,
     image: Arc<KernelImage>,
     warps: Vec<Option<WarpContext>>,
+    /// Slots holding a context (`warps[slot].is_some()`), one bit per slot.
+    resident: u64,
+    /// Resident slots whose warp has lanes left to run (not `exited()`).
+    live: u64,
+    /// Slots whose warp waits at a CTA barrier (`WarpBlock::Barrier`).
+    at_barrier: u64,
+    /// Slots whose next instruction collides with no pending scoreboard
+    /// write; refreshed whenever a slot's pc or scoreboard changes.
+    hazard_free: u64,
+    /// Slots whose next instruction needs an operand collector unit.
+    wants_collector: u64,
+    /// Slots with loads outstanding (`pending_loads[slot] > 0`).
+    loading: u64,
+    /// Per scheduler, the warp slots it owns (`slot % num_schedulers`).
+    stripes: Vec<u64>,
+    /// Per CTA slot, the warp slots its warps were dispatched to; 0 marks
+    /// a free CTA slot. Bits stay set after a warp finishes, and a finished
+    /// warp's slot may be reused by another CTA while this one is resident
+    /// (see [`Sm::release_barriers`] and [`Sm::maybe_finish_warp`]).
+    cta_warps: Vec<u64>,
     scoreboards: Vec<Scoreboard>,
     pending_loads: Vec<u32>,
     schedulers: Vec<Box<dyn WarpScheduler>>,
@@ -87,10 +127,10 @@ pub struct Sm {
     shared_unit: LoadStoreUnit,
     l1: L1Cache,
     rf: Box<dyn RegisterFileModel>,
-    cta_slots: Vec<Option<CtaState>>,
     shared_mem: Vec<SharedMemory>,
-    inflight: HashMap<u64, InflightInstr>,
-    next_token: u64,
+    /// In-flight instructions indexed by token; freed tokens are reused.
+    inflight: Vec<Option<InflightInstr>>,
+    free_tokens: Vec<u64>,
     exec_completions: Vec<(u64, u64)>, // (cycle, token)
     /// Statistics for this SM.
     pub stats: SmStats,
@@ -128,8 +168,6 @@ pub struct Sm {
     /// pooled context instead of allocating ~`WARP_SIZE` register vectors.
     /// Pool contents never affect results ([`WarpContext::reinit`]).
     warp_pool: Vec<WarpContext>,
-    /// Scratch for the free-slot scan in [`Sm::try_dispatch_cta`].
-    dispatch_slots_scratch: Vec<usize>,
     /// Global-memory writes staged by this SM during the current cycle,
     /// applied by [`Sm::commit_global_writes`] in SM-id order (two-phase
     /// execute/commit, identical under serial and SM-parallel stepping).
@@ -140,10 +178,7 @@ impl std::fmt::Debug for Sm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sm")
             .field("id", &self.id)
-            .field(
-                "resident_warps",
-                &self.warps.iter().filter(|w| w.is_some()).count(),
-            )
+            .field("resident_warps", &self.resident_warps())
             .finish_non_exhaustive()
     }
 }
@@ -156,13 +191,32 @@ impl Sm {
         image: Arc<KernelImage>,
         rf: Box<dyn RegisterFileModel>,
     ) -> Self {
+        assert!(
+            config.max_warps_per_sm <= 64,
+            "warp slots are tracked in u64 masks"
+        );
         let schedulers = (0..config.num_schedulers)
             .map(|_| build_scheduler(config.scheduler))
+            .collect();
+        let stripes = (0..config.num_schedulers)
+            .map(|sched| {
+                (sched..config.max_warps_per_sm)
+                    .step_by(config.num_schedulers)
+                    .fold(0u64, |m, slot| m | 1 << slot)
+            })
             .collect();
         Sm {
             id,
             config: config.clone(),
             warps: (0..config.max_warps_per_sm).map(|_| None).collect(),
+            resident: 0,
+            live: 0,
+            at_barrier: 0,
+            hazard_free: 0,
+            wants_collector: 0,
+            loading: 0,
+            stripes,
+            cta_warps: vec![0; config.max_ctas_per_sm],
             scoreboards: (0..config.max_warps_per_sm)
                 .map(|_| Scoreboard::new())
                 .collect(),
@@ -177,12 +231,11 @@ impl Sm {
             shared_unit: LoadStoreUnit::new(),
             l1: L1Cache::new(config.l1_lines),
             rf,
-            cta_slots: (0..config.max_ctas_per_sm).map(|_| None).collect(),
             shared_mem: (0..config.max_ctas_per_sm)
                 .map(|_| SharedMemory::new(config.shared_mem_words))
                 .collect(),
-            inflight: HashMap::new(),
-            next_token: 0,
+            inflight: Vec::new(),
+            free_tokens: Vec::new(),
             exec_completions: Vec::new(),
             stats: SmStats::new(),
             finished_warps: Vec::new(),
@@ -205,7 +258,6 @@ impl Sm {
             resolved_scratch: Vec::new(),
             addr_pool: Vec::new(),
             warp_pool: Vec::new(),
-            dispatch_slots_scratch: Vec::new(),
             global_writes: Vec::new(),
             image,
         }
@@ -245,6 +297,7 @@ impl Sm {
     /// `GpuConfig::audit` was set. Call once, after the run completes (and
     /// after [`Sm::finish_sampling`], whose series is audited here too).
     pub fn finish_audit(&mut self, final_cycle: u64) -> Option<AuditReport> {
+        self.audit_cached_state(final_cycle);
         let auditor = self.audit.take()?;
         let mut report = auditor.finish(&self.stats, self.rf.rfc_evictions(), final_cycle);
         if let Some(series) = &self.samples {
@@ -259,6 +312,82 @@ impl Sm {
         Some(report)
     }
 
+    /// Cross-checks the cached warp masks and the collector's free count
+    /// and age list against a scan of the warp contexts and collector
+    /// units; a mismatch becomes an audit violation. No-op unless
+    /// `GpuConfig::audit` is set. Adds nothing to the report's check
+    /// count, so a clean report's counters are the same with or without it.
+    fn audit_cached_state(&mut self, cycle: u64) {
+        let Some(audit) = self.audit.as_mut() else {
+            return;
+        };
+        let (mut resident, mut live, mut at_barrier) = (0u64, 0u64, 0u64);
+        let (mut hazard_free, mut wants_collector, mut loading) = (0u64, 0u64, 0u64);
+        // Each resident warp's slot must be among its own CTA's slots.
+        let mut outside_own_cta = 0u64;
+        for (slot, w) in self.warps.iter().enumerate() {
+            let Some(w) = w else { continue };
+            let bit = 1u64 << slot;
+            resident |= bit;
+            if !w.exited() {
+                live |= bit;
+            }
+            if w.block == WarpBlock::Barrier {
+                at_barrier |= bit;
+            }
+            if let Some(pc) = w.stack.pc() {
+                let hazard = &self.image.hazards[pc];
+                if !self.scoreboards[slot].blocks(hazard) {
+                    hazard_free |= bit;
+                }
+                if hazard.needs_collector {
+                    wants_collector |= bit;
+                }
+            }
+            if self.pending_loads[slot] > 0 {
+                loading |= bit;
+            }
+            if self.cta_warps[w.cta_slot] & bit == 0 {
+                outside_own_cta |= bit;
+            }
+        }
+        let masks = [
+            ("resident", self.resident, resident),
+            ("live", self.live, live),
+            ("at-barrier", self.at_barrier, at_barrier),
+            ("hazard-free", self.hazard_free, hazard_free),
+            ("wants-collector", self.wants_collector, wants_collector),
+            ("loading", self.loading, loading),
+        ];
+        for (name, cached, scanned) in masks {
+            if cached != scanned {
+                let slot = (cached ^ scanned).trailing_zeros() as usize;
+                audit.note_cached_state_mismatch(
+                    Some(slot),
+                    format!("{name} mask {cached:#x} but the warp scan gives {scanned:#x}"),
+                    cycle,
+                );
+            }
+        }
+        if outside_own_cta != 0 {
+            audit.note_cached_state_mismatch(
+                Some(outside_own_cta.trailing_zeros() as usize),
+                format!("warp slots {outside_own_cta:#x} are missing from their CTA's slot mask"),
+                cycle,
+            );
+        }
+        if let Some(detail) = self.collector.cached_state_mismatch() {
+            audit.note_cached_state_mismatch(None, detail, cycle);
+        }
+    }
+
+    /// Flips `slot`'s bit in the cached live mask, so tests can check that
+    /// the audit catches a drifted cache.
+    #[cfg(test)]
+    fn corrupt_live_bit(&mut self, slot: usize) {
+        self.live ^= 1u64 << slot;
+    }
+
     /// Notifies the register-file model that a new kernel begins.
     pub fn notify_kernel_launch(&mut self, cycle: u64) {
         self.rf.on_kernel_launch(&self.image.kernel, cycle);
@@ -266,18 +395,18 @@ impl Sm {
 
     /// Number of CTAs currently resident.
     pub fn resident_ctas(&self) -> usize {
-        self.cta_slots.iter().filter(|c| c.is_some()).count()
+        self.cta_warps.iter().filter(|&&m| m != 0).count()
     }
 
     /// Number of warps currently resident.
     pub fn resident_warps(&self) -> usize {
-        self.warps.iter().filter(|w| w.is_some()).count()
+        self.resident.count_ones() as usize
     }
 
     /// True when no warp is resident and no instruction is in flight.
     pub fn is_idle(&self) -> bool {
-        self.resident_warps() == 0
-            && self.inflight.is_empty()
+        self.resident == 0
+            && self.free_tokens.len() == self.inflight.len()
             && self.collector.is_idle()
             && self.lsu.is_idle()
             && self.shared_unit.is_idle()
@@ -287,38 +416,29 @@ impl Sm {
     /// warp slots, register capacity, or still within the dispatch
     /// interval after the previous CTA launch.
     pub fn try_dispatch_cta(&mut self, cta: CtaId, cycle: u64) -> bool {
-        let grid = &self.image.grid;
+        let grid = self.image.grid;
         let regs = self.image.kernel.regs_per_thread().max(1) as usize;
         let warps_needed = grid.warps_per_cta() as usize;
 
         if cycle < self.next_dispatch_allowed {
             return false;
         }
-        if self.resident_ctas() >= self.config.max_ctas_per_sm {
+        let Some(cta_slot) = self.cta_warps.iter().position(|&m| m == 0) else {
             return false;
-        }
+        };
         // Register-capacity limit.
-        let regs_in_use: usize = self.warps.iter().flatten().count() * 32 * regs;
+        let regs_in_use = self.resident_warps() * 32 * regs;
         if regs_in_use + warps_needed * 32 * regs > self.config.rf_registers {
             return false;
         }
-        let mut free_slots = std::mem::take(&mut self.dispatch_slots_scratch);
-        free_slots.clear();
-        free_slots.extend(
-            (0..self.warps.len())
-                .filter(|&i| self.warps[i].is_none())
-                .take(warps_needed),
-        );
-        if free_slots.len() < warps_needed {
-            self.dispatch_slots_scratch = free_slots;
+        let mut free = !self.resident & low_mask(self.warps.len());
+        if (free.count_ones() as usize) < warps_needed {
             return false;
         }
-        let Some(cta_slot) = self.cta_slots.iter().position(|c| c.is_none()) else {
-            self.dispatch_slots_scratch = free_slots;
-            return false;
-        };
 
-        for (w, &slot) in free_slots.iter().enumerate() {
+        for w in 0..warps_needed {
+            let slot = free.trailing_zeros() as usize;
+            free &= free - 1;
             let mask = grid.active_mask(w as u32);
             let warp = match self.warp_pool.pop() {
                 Some(mut ctx) => {
@@ -340,10 +460,13 @@ impl Sm {
                 cycle,
             );
             self.warps[slot] = Some(warp);
+            let bit = 1u64 << slot;
+            self.resident |= bit;
+            self.live |= bit;
+            self.loading &= !bit;
+            self.cta_warps[cta_slot] |= bit;
+            self.refresh_hazard(slot);
         }
-        self.cta_slots[cta_slot] = Some(CtaState {
-            warp_slots: free_slots,
-        });
         // Fresh shared memory for the CTA (zeroed in place).
         self.shared_mem[cta_slot].reset(self.config.shared_mem_words);
         self.next_dispatch_allowed = cycle + self.config.cta_dispatch_interval;
@@ -352,19 +475,33 @@ impl Sm {
             sm: self.id,
             cta: cta.0,
         });
+        self.audit_cached_state(cycle);
         true
     }
 
-    fn alloc_token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
+    /// Records an in-flight instruction and returns its token.
+    fn insert_inflight(&mut self, info: InflightInstr) -> u64 {
+        match self.free_tokens.pop() {
+            Some(token) => {
+                self.inflight[token as usize] = Some(info);
+                token
+            }
+            None => {
+                self.inflight.push(Some(info));
+                self.inflight.len() as u64 - 1
+            }
+        }
+    }
+
+    fn inflight_ref(&self, token: u64) -> Option<&InflightInstr> {
+        self.inflight.get(token as usize).and_then(Option::as_ref)
     }
 
     fn retire(&mut self, token: u64, cycle: u64) {
-        let Some(info) = self.inflight.remove(&token) else {
+        let Some(info) = self.inflight.get_mut(token as usize).and_then(Option::take) else {
             return;
         };
+        self.free_tokens.push(token);
         if let Some(p) = info.pred_dst {
             self.scoreboards[info.warp_slot].release_pred(p);
             if self.observing() {
@@ -376,8 +513,14 @@ impl Sm {
             }
         }
         if info.is_load {
-            self.pending_loads[info.warp_slot] =
-                self.pending_loads[info.warp_slot].saturating_sub(1);
+            let pending = &mut self.pending_loads[info.warp_slot];
+            *pending = pending.saturating_sub(1);
+            if *pending == 0 {
+                self.loading &= !(1u64 << info.warp_slot);
+            }
+        }
+        if info.pred_dst.is_some() {
+            self.refresh_hazard(info.warp_slot);
         }
         if let Some(w) = self.warps[info.warp_slot].as_mut() {
             w.inflight = w.inflight.saturating_sub(1);
@@ -397,6 +540,8 @@ impl Sm {
             return;
         }
         let w = self.warps[slot].take().expect("checked above");
+        self.resident &= !(1u64 << slot);
+        self.refresh_hazard(slot);
         if let Some(a) = self.audit.as_mut() {
             // A finished warp must hold no scoreboard reservations; a
             // pending bit here means a lost release somewhere upstream.
@@ -421,15 +566,18 @@ impl Sm {
             cycle,
         );
         self.finished_warps.push((w.cta.0, w.warp_in_cta, cycle));
-        // CTA completion check.
+        // CTA completion check: the finishing warp's CTA slot frees when
+        // none of the slots it was dispatched to holds a warp. Only this
+        // warp's own CTA is checked, and a slot reused by another CTA's warp
+        // counts as occupied, so a CTA whose last own warp finishes while a
+        // foreign warp sits in one of its slots is never freed. This is the
+        // model the committed baselines were produced with (DESIGN §7.5).
         let cta_slot = w.cta_slot;
-        self.warp_pool.push(w);
-        let cta_done = self.cta_slots[cta_slot]
-            .as_ref()
-            .is_some_and(|c| c.warp_slots.iter().all(|&s| self.warps[s].is_none()));
-        if cta_done {
-            self.cta_slots[cta_slot] = None;
+        if self.cta_warps[cta_slot] & self.resident == 0 {
+            self.cta_warps[cta_slot] = 0;
         }
+        self.warp_pool.push(w);
+        self.audit_cached_state(cycle);
     }
 
     /// Seeds the warp-context pool with recycled contexts from an earlier
@@ -444,93 +592,86 @@ impl Sm {
         std::mem::take(&mut self.warp_pool)
     }
 
+    /// True when the live warps in some resident CTA's slots all wait at
+    /// the barrier, so the next barrier phase releases them.
+    fn barrier_release_pending(&self) -> bool {
+        self.at_barrier != 0
+            && self.cta_warps.iter().any(|&cta| {
+                let live = cta & self.live;
+                live != 0 && live & !self.at_barrier == 0
+            })
+    }
+
+    /// Releases, CTA slot by CTA slot, every warp in a CTA's slots once all
+    /// live warps there wait at the barrier. The slots are those the CTA
+    /// was dispatched to, so a warp of another CTA that reused one of them
+    /// counts and is released too; releases are applied in CTA-slot order,
+    /// each seeing the ones before it.
     fn release_barriers(&mut self) {
-        for cta_slot in 0..self.cta_slots.len() {
-            let Some(c) = self.cta_slots[cta_slot].as_ref() else {
-                continue;
-            };
-            let mut waiting = 0usize;
-            let mut live = 0usize;
-            for &s in &c.warp_slots {
-                if let Some(w) = self.warps[s].as_ref() {
-                    if !w.exited() {
-                        live += 1;
-                        if w.block == WarpBlock::Barrier {
-                            waiting += 1;
-                        }
+        if self.at_barrier == 0 {
+            return;
+        }
+        for c in 0..self.cta_warps.len() {
+            let live = self.cta_warps[c] & self.live;
+            if live != 0 && live & !self.at_barrier == 0 {
+                for slot in bits(live) {
+                    if let Some(w) = self.warps[slot].as_mut() {
+                        w.block = WarpBlock::None;
                     }
                 }
+                self.at_barrier &= !live;
             }
-            if live > 0 && waiting == live {
-                // Borrow dance: take the slot list so releasing warps does
-                // not alias the CTA entry (and does not clone the list).
-                let slots = std::mem::take(
-                    &mut self.cta_slots[cta_slot]
-                        .as_mut()
-                        .expect("checked above")
-                        .warp_slots,
-                );
-                for &s in &slots {
-                    if let Some(w) = self.warps[s].as_mut() {
-                        if w.block == WarpBlock::Barrier {
-                            w.block = WarpBlock::None;
-                        }
-                    }
-                }
-                self.cta_slots[cta_slot]
-                    .as_mut()
-                    .expect("still resident")
-                    .warp_slots = slots;
+        }
+    }
+
+    /// Recomputes `slot`'s bits in `hazard_free` and `wants_collector` from
+    /// its current pc and scoreboard (both clear when no warp runs there).
+    fn refresh_hazard(&mut self, slot: usize) {
+        let bit = 1u64 << slot;
+        self.hazard_free &= !bit;
+        self.wants_collector &= !bit;
+        if let Some(pc) = self.warps[slot].as_ref().and_then(|w| w.stack.pc()) {
+            let hazard = &self.image.hazards[pc];
+            if !self.scoreboards[slot].blocks(hazard) {
+                self.hazard_free |= bit;
+            }
+            if hazard.needs_collector {
+                self.wants_collector |= bit;
             }
         }
     }
 
     fn warp_views_into(&self, sched: usize, views: &mut Vec<WarpView>) {
         views.clear();
-        for slot in (sched..self.warps.len()).step_by(self.schedulers.len()) {
-            if let Some(w) = self.warps[slot].as_ref() {
-                if w.exited() {
-                    continue;
-                }
-                // "Long latency pending" = the warp's next instruction is
-                // blocked by the scoreboard while it has loads outstanding —
-                // the two-level scheduler's demotion trigger.
-                let long = self.pending_loads[slot] > 0 && {
-                    match w.stack.pc() {
-                        Some(pc) => self.scoreboards[slot].blocked(self.image.kernel.fetch(pc)),
-                        None => false,
-                    }
-                };
-                views.push(WarpView {
-                    slot,
-                    dispatch_cycle: w.dispatch_cycle,
-                    resident: true,
-                    long_latency_pending: long,
-                    barrier_waiting: w.block == WarpBlock::Barrier,
-                });
-            }
+        // "Long latency pending" = the warp's next instruction is blocked
+        // by the scoreboard while it has loads outstanding — the two-level
+        // scheduler's demotion trigger.
+        let long = self.loading & !self.hazard_free;
+        for slot in bits(self.live & self.stripes[sched]) {
+            let w = self.warps[slot].as_ref().expect("live warps are resident");
+            let bit = 1u64 << slot;
+            views.push(WarpView {
+                slot,
+                dispatch_cycle: w.dispatch_cycle,
+                resident: true,
+                long_latency_pending: long & bit != 0,
+                barrier_waiting: self.at_barrier & bit != 0,
+            });
         }
+    }
+
+    /// Slots that can issue their next instruction as far as the warp
+    /// itself goes (live, not at a barrier, no scoreboard hazard); the
+    /// ones in `wants_collector` also need a free collector unit.
+    fn issuable(&self) -> u64 {
+        self.live & !self.at_barrier & self.hazard_free
     }
 
     /// Returns true when the warp at `slot` can issue its next instruction.
     fn can_issue(&self, slot: usize) -> bool {
-        let Some(w) = self.warps[slot].as_ref() else {
-            return false;
-        };
-        if w.exited() || w.block != WarpBlock::None {
-            return false;
-        }
-        let Some(pc) = w.stack.pc() else { return false };
-        let instr = self.image.kernel.fetch(pc);
-        if self.scoreboards[slot].blocked(instr) {
-            return false;
-        }
-        // Needs a collector unit unless it touches no registers at all.
-        let needs_collector = instr.num_reg_src_operands() > 0 || instr.reg_write().is_some();
-        if needs_collector && !self.collector.has_free_unit() {
-            return false;
-        }
-        true
+        let bit = 1u64 << slot;
+        self.issuable() & bit != 0
+            && (self.wants_collector & bit == 0 || self.collector.has_free_unit())
     }
 
     /// Issues the next instruction of warp `slot`. Caller must have checked
@@ -541,7 +682,7 @@ impl Sm {
             .as_mut()
             .expect("can_issue checked residency");
         let pc = w.stack.pc().expect("can_issue checked pc");
-        let instr = image.kernel.fetch(pc).clone();
+        let instr = image.kernel.fetch(pc);
         let env = image.env();
 
         // Functional execution (updates pc / SIMT stack / registers /
@@ -551,15 +692,20 @@ impl Sm {
         let mut outcome = ExecOutcome::with_buffer(self.addr_pool.pop().unwrap_or_default());
         execute_warp_instruction_into(
             w,
-            &instr,
+            instr,
             &image.rt,
             &env,
             global,
             &mut self.shared_mem[cta_slot],
             &mut outcome,
         );
+        let bit = 1u64 << slot;
         if outcome.hit_barrier {
             w.block = WarpBlock::Barrier;
+            self.at_barrier |= bit;
+        }
+        if w.exited() {
+            self.live &= !bit;
         }
         let cta = w.cta.0;
         let warp_in_cta = w.warp_in_cta;
@@ -617,10 +763,8 @@ impl Sm {
             prf_isa::Dst::Pred(p) => Some(p),
             _ => None,
         };
-        let needs_collector = !reads.is_empty() || dst_reg.is_some();
-
-        if needs_collector {
-            self.scoreboards[slot].reserve(&instr);
+        if image.hazards[pc].needs_collector {
+            self.scoreboards[slot].reserve(instr);
             if (dst_reg.is_some() || pred_dst.is_some()) && self.observing() {
                 // `reserve` set exactly one pending bit (Dst is exclusive).
                 self.emit(TraceEvent::ScoreboardReserve {
@@ -629,10 +773,10 @@ impl Sm {
                     warp: slot,
                 });
             }
-            let token = self.alloc_token();
             let is_load = instr.opcode.is_load();
             if is_load {
                 self.pending_loads[slot] += 1;
+                self.loading |= bit;
             }
             let dest = if instr.opcode.exec_class() == prf_isa::ExecClass::Mem {
                 CollectDest::Memory
@@ -647,22 +791,19 @@ impl Sm {
                     writeback: dst_reg,
                 }
             };
+            let token = self.insert_inflight(InflightInstr {
+                warp_slot: slot,
+                dst_reg,
+                pred_dst,
+                is_load,
+                global_addrs: outcome.global_addrs,
+                shared_access: outcome.shared_access,
+            });
             let ok = self.collector.allocate(slot, &resolved_reads, dest, token);
             debug_assert!(ok, "can_issue checked for a free unit");
             if let Some(a) = self.audit.as_mut() {
                 a.note_collector_alloc();
             }
-            self.inflight.insert(
-                token,
-                InflightInstr {
-                    warp_slot: slot,
-                    dst_reg,
-                    pred_dst,
-                    is_load,
-                    global_addrs: outcome.global_addrs,
-                    shared_access: outcome.shared_access,
-                },
-            );
             if let Some(w) = self.warps[slot].as_mut() {
                 w.inflight += 1;
             }
@@ -677,6 +818,7 @@ impl Sm {
         self.resolved_scratch = resolved_reads;
 
         self.stats.instructions += 1;
+        self.refresh_hazard(slot);
         self.maybe_finish_warp(slot, cycle);
     }
 
@@ -688,7 +830,7 @@ impl Sm {
     /// of the cycle has stepped. Reads through the [`GmemView`] still see
     /// this SM's own same-cycle stores, in program order.
     pub fn cycle(&mut self, cycle: u64, global: &GlobalMemory) -> u32 {
-        if self.resident_warps() > 0 {
+        if self.resident != 0 {
             self.stats.active_cycles += 1;
         }
 
@@ -699,7 +841,7 @@ impl Sm {
         self.lsu.tick_into(cycle, &mut mem_done);
         self.shared_unit.tick_into(cycle, &mut mem_done);
         for &token in &mem_done {
-            let (slot, dst) = match self.inflight.get(&token) {
+            let (slot, dst) = match self.inflight_ref(token) {
                 Some(i) => (i.warp_slot, i.dst_reg),
                 None => continue,
             };
@@ -715,6 +857,7 @@ impl Sm {
                     // Result forwarding: dependents see the value as soon
                     // as it returns; the RF write itself is overlapped.
                     self.scoreboards[slot].release_reg(reg);
+                    self.refresh_hazard(slot);
                     if self.observing() {
                         self.emit(TraceEvent::ScoreboardRelease {
                             cycle,
@@ -742,7 +885,7 @@ impl Sm {
             }
         });
         for &token in &due {
-            let (slot, dst) = match self.inflight.get(&token) {
+            let (slot, dst) = match self.inflight_ref(token) {
                 Some(i) => (i.warp_slot, i.dst_reg),
                 None => continue,
             };
@@ -750,6 +893,7 @@ impl Sm {
                 Some(reg) => {
                     // Result forwarding (as above).
                     self.scoreboards[slot].release_reg(reg);
+                    self.refresh_hazard(slot);
                     if self.observing() {
                         self.emit(TraceEvent::ScoreboardRelease {
                             cycle,
@@ -830,13 +974,15 @@ impl Sm {
             }
             match c.dest {
                 CollectDest::Execute { latency, writeback } => {
-                    if writeback.is_some() || self.inflight.contains_key(&c.token) {
+                    if writeback.is_some() || self.inflight_ref(c.token).is_some() {
                         self.exec_completions
                             .push((cycle + u64::from(latency), c.token));
                     }
                 }
                 CollectDest::Memory => {
-                    let info = self.inflight.get(&c.token).expect("mem op is in flight");
+                    let info = self.inflight[c.token as usize]
+                        .as_ref()
+                        .expect("mem op is in flight");
                     if info.shared_access {
                         // Shared memory has its own pipeline, separate from
                         // the global-memory LSU (as on real SMs).
@@ -949,7 +1095,7 @@ impl Sm {
 
         if issued_total > 0 {
             self.stats.issue_cycles += 1;
-        } else if self.resident_warps() > 0 {
+        } else if self.resident != 0 {
             self.classify_zero_issue_stall();
         }
 
@@ -960,7 +1106,7 @@ impl Sm {
         // branch). Runs after the RF tick so the FRF-mode gauge reflects
         // this cycle's epoch decision.
         if let Some(sampler) = self.sampler.as_mut() {
-            let active_warps = self.warps.iter().filter(|w| w.is_some()).count();
+            let active_warps = self.resident.count_ones() as usize;
             sampler.on_cycle(cycle, &self.stats, active_warps, self.rf.frf_low_mode());
         }
 
@@ -971,30 +1117,13 @@ impl Sm {
     /// blocker. Shared by [`Sm::cycle`] and [`Sm::idle_advance`] so skipped
     /// idle spans account stalls identically to stepped ones.
     fn classify_zero_issue_stall(&mut self) {
-        let (mut mem, mut barrier, mut coll, mut alu) = (0u32, 0u32, 0u32, 0u32);
-        for slot in 0..self.warps.len() {
-            let Some(w) = self.warps[slot].as_ref() else {
-                continue;
-            };
-            if w.exited() {
-                continue;
-            }
-            if w.block == WarpBlock::Barrier {
-                barrier += 1;
-                continue;
-            }
-            let Some(pc) = w.stack.pc() else { continue };
-            let instr = self.image.kernel.fetch(pc);
-            if self.scoreboards[slot].blocked(instr) {
-                if self.pending_loads[slot] > 0 {
-                    mem += 1;
-                } else {
-                    alu += 1;
-                }
-            } else {
-                coll += 1; // ready but starved (collector / width)
-            }
-        }
+        let barrier = self.at_barrier.count_ones();
+        let waiting = self.live & !self.at_barrier;
+        let blocked = waiting & !self.hazard_free;
+        let mem = (blocked & self.loading).count_ones();
+        let alu = (blocked & !self.loading).count_ones();
+        // Ready but starved (collector / width).
+        let coll = (waiting & self.hazard_free).count_ones();
         let max = mem.max(barrier).max(coll).max(alu);
         if max > 0 {
             if max == mem {
@@ -1026,13 +1155,13 @@ impl Sm {
     /// per-cycle hook, sampling), so a skip-ahead run is bit-identical to a
     /// stepped one.
     pub fn idle_advance(&mut self, cycle: u64) {
-        if self.resident_warps() > 0 {
+        if self.resident != 0 {
             self.stats.active_cycles += 1;
             self.classify_zero_issue_stall();
         }
         self.rf.tick(cycle, 0);
         if let Some(sampler) = self.sampler.as_mut() {
-            let active_warps = self.warps.iter().filter(|w| w.is_some()).count();
+            let active_warps = self.resident.count_ones() as usize;
             sampler.on_cycle(cycle, &self.stats, active_warps, self.rf.frf_low_mode());
         }
     }
@@ -1049,26 +1178,15 @@ impl Sm {
             let c = c.max(cycle + 1);
             horizon = Some(horizon.map_or(c, |h| h.min(c)));
         };
-        if (0..self.warps.len()).any(|slot| self.can_issue(slot)) {
+        let issuable = self.issuable();
+        if issuable & !self.wants_collector != 0
+            || (issuable != 0 && self.collector.has_free_unit())
+        {
             merge(cycle + 1);
         }
         // A fully arrived barrier releases on the next cycle (phase 4).
-        for c in self.cta_slots.iter().flatten() {
-            let mut waiting = 0usize;
-            let mut live = 0usize;
-            for &s in &c.warp_slots {
-                if let Some(w) = self.warps[s].as_ref() {
-                    if !w.exited() {
-                        live += 1;
-                        if w.block == WarpBlock::Barrier {
-                            waiting += 1;
-                        }
-                    }
-                }
-            }
-            if live > 0 && waiting == live {
-                merge(cycle + 1);
-            }
+        if self.barrier_release_pending() {
+            merge(cycle + 1);
         }
         if let Some(c) = self.lsu.next_event(cycle) {
             merge(c);
@@ -1082,7 +1200,7 @@ impl Sm {
         for &(at, _) in &self.exec_completions {
             merge(at);
         }
-        if horizon.is_none() && self.resident_warps() > 0 {
+        if horizon.is_none() && self.resident != 0 {
             // Resident warps without any pending event would mean a hang;
             // step normally rather than skipping so the cycle limit and
             // audit see it.
@@ -1357,6 +1475,39 @@ mod tests {
         let (sm, _, _) = run_sm(simple_kernel(), GridConfig::new(1, 64), &config);
         assert!((sm.stats.simd_efficiency() - 1.0).abs() < 1e-12);
         assert_eq!(sm.stats.divergence_rate(), 0.0);
+    }
+
+    #[test]
+    fn audit_cross_checks_the_cached_warp_state() {
+        let config = GpuConfig {
+            global_mem_words: 1 << 14,
+            audit: true,
+            ..GpuConfig::kepler_single_sm()
+        };
+        // A clean audited run: the cache agrees with the scan at every
+        // dispatch, warp finish and at the end.
+        let (mut sm, cycles, _) = run_sm(simple_kernel(), GridConfig::new(6, 64), &config);
+        let report = sm.finish_audit(cycles).expect("audit is on");
+        assert!(report.is_clean(), "{report}");
+
+        // One flipped bit in the live mask is reported with provenance.
+        let image = Arc::new(KernelImage::new(simple_kernel(), GridConfig::new(1, 64)));
+        let mut sm = Sm::new(
+            3,
+            &config,
+            image,
+            Box::new(BaselineRf::stv(config.num_rf_banks)),
+        );
+        assert!(sm.try_dispatch_cta(CtaId(0), 0));
+        sm.corrupt_live_bit(1);
+        let report = sm.finish_audit(7).expect("audit is on");
+        let v = report
+            .violations
+            .iter()
+            .find(|v| v.invariant == "cached issue state")
+            .unwrap_or_else(|| panic!("drift not reported: {report}"));
+        assert_eq!((v.sm, v.cycle, v.warp), (Some(3), 7, Some(1)));
+        assert!(v.detail.contains("live"), "{v}");
     }
 
     #[test]

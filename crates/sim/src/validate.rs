@@ -102,6 +102,15 @@ pub fn check_config(config: &GpuConfig) -> Result<(), ValidationError> {
             return Err(config_err(field, "must be at least 1"));
         }
     }
+    if config.max_warps_per_sm > 64 {
+        return Err(config_err(
+            "max_warps_per_sm",
+            format!(
+                "{} warp slots: the SM tracks warp slots in 64-bit masks, so at most 64",
+                config.max_warps_per_sm
+            ),
+        ));
+    }
     if !config.global_mem_words.is_power_of_two() {
         return Err(config_err(
             "global_mem_words",
@@ -245,6 +254,28 @@ mod tests {
         };
         let err = check_launch(&cfg, &tiny_kernel(2), GridConfig::new(1, 256)).unwrap_err();
         assert!(err.to_string().contains("warp slots"), "{err}");
+    }
+
+    #[test]
+    fn more_than_64_warp_slots_rejected() {
+        let cfg = GpuConfig {
+            max_warps_per_sm: 65,
+            ..GpuConfig::kepler_single_sm()
+        };
+        let err = check_config(&cfg).unwrap_err();
+        assert!(matches!(
+            err,
+            ValidationError::Config {
+                field: "max_warps_per_sm",
+                ..
+            }
+        ));
+        assert!(err.to_string().contains("64"), "{err}");
+        let max = GpuConfig {
+            max_warps_per_sm: 64,
+            ..GpuConfig::kepler_single_sm()
+        };
+        assert_eq!(check_config(&max), Ok(()));
     }
 
     #[test]

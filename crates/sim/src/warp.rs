@@ -1,7 +1,19 @@
-//! Warp execution context: per-lane architectural state and the SIMT
-//! reconvergence stack.
+//! Warp execution context: architectural state and the SIMT reconvergence
+//! stack.
+//!
+//! Registers are stored register-major: `regs[r]` holds register `r` of all
+//! [`WARP_SIZE`] lanes side by side, so the executor reads each source
+//! operand of an instruction as one contiguous row and a context's
+//! registers are one allocation. Predicates are one lane mask per predicate register
+//! (bit `lane` of `preds[p]`), so a guard evaluates for the whole warp with
+//! one mask operation.
+//!
+//! The SM mirrors each context's liveness (`exited()`) and barrier wait
+//! (`block`) in `u64` bitmasks over the warp slots, updated where they
+//! change, so the per-cycle issue logic never scans the contexts; with
+//! `GpuConfig::audit` on it cross-checks those masks against the contexts.
 
-use prf_isa::{CtaId, ReconvergenceTable, WARP_SIZE};
+use prf_isa::{CtaId, ReconvergenceTable, Reg, NUM_PRED_REGS, WARP_SIZE};
 
 /// One entry of the SIMT stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,10 +195,10 @@ pub struct WarpContext {
     pub warp_in_cta: u32,
     /// SIMT reconvergence stack.
     pub stack: SimtStack,
-    /// Per-lane register values, lane-major: `regs[lane][reg]`.
-    pub regs: Vec<Vec<u32>>,
-    /// Per-lane predicate values: `preds[lane][pred]`.
-    pub preds: Vec<[bool; prf_isa::NUM_PRED_REGS]>,
+    /// Register values, register-major: `regs[reg][lane]`.
+    pub regs: Vec<[u32; WARP_SIZE]>,
+    /// Predicate values as lane masks: bit `lane` of `preds[pred]`.
+    pub preds: [u32; NUM_PRED_REGS],
     /// Blocking condition.
     pub block: WarpBlock,
     /// Cycle the warp became resident (used by GTO's "oldest" ordering).
@@ -216,15 +228,18 @@ impl WarpContext {
             cta,
             warp_in_cta,
             stack: SimtStack::new(active_mask),
-            regs: (0..WARP_SIZE)
-                .map(|_| vec![0u32; regs_per_thread])
-                .collect(),
-            preds: vec![[false; prf_isa::NUM_PRED_REGS]; WARP_SIZE],
+            regs: vec![[0; WARP_SIZE]; regs_per_thread],
+            preds: [0; NUM_PRED_REGS],
             block: WarpBlock::None,
             dispatch_cycle,
             finished: false,
             inflight: 0,
         }
+    }
+
+    /// Value of register `r` in `lane`.
+    pub fn reg(&self, lane: usize, r: Reg) -> u32 {
+        self.regs[r.index()][lane]
     }
 
     /// True when the warp has no more lanes to run (it may still have
@@ -253,13 +268,9 @@ impl WarpContext {
         self.cta = cta;
         self.warp_in_cta = warp_in_cta;
         self.stack.reset(active_mask);
-        for lane in self.regs.iter_mut() {
-            lane.clear();
-            lane.resize(regs_per_thread, 0);
-        }
-        for p in self.preds.iter_mut() {
-            *p = [false; prf_isa::NUM_PRED_REGS];
-        }
+        self.regs.clear();
+        self.regs.resize(regs_per_thread, [0; WARP_SIZE]);
+        self.preds = [0; NUM_PRED_REGS];
         self.block = WarpBlock::None;
         self.dispatch_cycle = dispatch_cycle;
         self.finished = false;
@@ -270,7 +281,7 @@ impl WarpContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prf_isa::{CmpOp, KernelBuilder, PredReg, Reg};
+    use prf_isa::{CmpOp, KernelBuilder, PredReg};
 
     fn diamond_table() -> (prf_isa::Kernel, ReconvergenceTable) {
         let mut kb = KernelBuilder::new("d");
@@ -370,8 +381,8 @@ mod tests {
         let w = WarpContext::new(3, 1, CtaId(7), 2, 0xFFFF, 13, 100);
         assert_eq!(w.slot, 3);
         assert_eq!(w.stack.active_mask(), 0xFFFF);
-        assert_eq!(w.regs.len(), WARP_SIZE);
-        assert_eq!(w.regs[0].len(), 13);
+        assert_eq!(w.regs.len(), 13);
+        assert_eq!(w.reg(WARP_SIZE - 1, Reg(12)), 0);
         assert!(!w.exited());
         assert!(!w.finished);
     }

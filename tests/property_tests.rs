@@ -198,6 +198,6 @@ proptest! {
 #[test]
 fn warp_context_register_file_is_sized_exactly() {
     let w = WarpContext::new(0, 0, pilot_rf::isa::CtaId(0), 0, u32::MAX, 63, 0);
-    assert_eq!(w.regs.len(), 32);
-    assert!(w.regs.iter().all(|lane| lane.len() == 63));
+    assert_eq!(w.regs.len(), 63);
+    assert!((0..32).all(|lane| (0..63).all(|r| w.reg(lane, pilot_rf::isa::Reg(r)) == 0)));
 }
