@@ -119,8 +119,9 @@ impl AdaptiveFrf {
     }
 
     /// Advances one cycle in which `issued` instructions were issued.
-    /// At an epoch boundary the mode for the next epoch is chosen.
-    pub fn tick(&mut self, issued: u32) {
+    /// At an epoch boundary the mode for the next epoch is chosen; returns
+    /// true on that cycle, the only one that changes the epoch counters.
+    pub fn tick(&mut self, issued: u32) -> bool {
         self.count = (self.count + issued).min(COUNTER_MAX);
         self.cycles_in_epoch += 1;
         if self.cycles_in_epoch >= self.config.epoch_length {
@@ -135,7 +136,9 @@ impl AdaptiveFrf {
             };
             self.count = 0;
             self.cycles_in_epoch = 0;
+            return true;
         }
+        false
     }
 
     /// Restarts phase detection (kernel launch).
@@ -212,6 +215,18 @@ mod tests {
         }
         a.tick(1); // epoch ends with 50 < 85
         assert_eq!(a.mode(), FrfMode::Low, "next epoch runs in low mode");
+    }
+
+    #[test]
+    fn tick_reports_only_the_epoch_closing_cycle() {
+        let mut a = AdaptiveFrf::new(AdaptiveFrfConfig::paper_default());
+        for _ in 0..2 {
+            for _ in 0..49 {
+                assert!(!a.tick(1));
+            }
+            assert!(a.tick(1));
+        }
+        assert_eq!((a.high_epochs, a.low_epochs), (1, 1));
     }
 
     #[test]

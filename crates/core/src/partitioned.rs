@@ -156,13 +156,12 @@ impl RegisterFileModel for PartitionedRf {
     }
 
     fn tick(&mut self, _cycle: u64, issued: u32) {
-        if self.config.adaptive.is_some() {
-            self.adaptive.tick(issued);
-            if self.is_reporting_sm {
-                let mut t = self.telemetry.lock().unwrap();
-                t.frf_high_epochs = self.adaptive.high_epochs;
-                t.frf_low_epochs = self.adaptive.low_epochs;
-            }
+        // The epoch counters change only when an epoch closes, so the
+        // telemetry is copied (and its mutex taken) only then.
+        if self.config.adaptive.is_some() && self.adaptive.tick(issued) && self.is_reporting_sm {
+            let mut t = self.telemetry.lock().unwrap();
+            t.frf_high_epochs = self.adaptive.high_epochs;
+            t.frf_low_epochs = self.adaptive.low_epochs;
         }
     }
 
@@ -361,6 +360,27 @@ mod tests {
         // SRF is unaffected by the FRF mode.
         let b = rf.resolve(0, Reg(40), AccessKind::Read, 51);
         assert_eq!(b.partition, RfPartition::Srf);
+    }
+
+    #[test]
+    fn telemetry_epoch_counts_follow_closed_epochs() {
+        let (mut rf, t) = hybrid_rf();
+        rf.on_kernel_launch(&test_kernel(), 0);
+        let epochs = |t: &SharedTelemetry| {
+            let t = t.lock().unwrap();
+            (t.frf_high_epochs, t.frf_low_epochs)
+        };
+        for c in 0..50 {
+            rf.tick(c, 0);
+        }
+        assert_eq!(epochs(&t), (1, 0));
+        // Mid-epoch ticks leave the telemetry as the last close left it.
+        for c in 50..99 {
+            rf.tick(c, 0);
+            assert_eq!(epochs(&t), (1, 0));
+        }
+        rf.tick(99, 0);
+        assert_eq!(epochs(&t), (1, 1));
     }
 
     #[test]

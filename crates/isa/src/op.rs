@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use crate::grid::WARP_SIZE;
+
 /// Integer/float comparison operator used by `SETP`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
@@ -34,6 +36,7 @@ impl CmpOp {
     /// Evaluates the comparison on two 32-bit words.
     ///
     /// Signed variants reinterpret the words as `i32`.
+    #[inline]
     pub fn eval(self, a: u32, b: u32) -> bool {
         let (sa, sb) = (a as i32, b as i32);
         match self {
@@ -195,6 +198,7 @@ impl Opcode {
     /// Panics if called on a memory, control, or `Shfl` opcode — those need
     /// machine state beyond the operand values and are executed by the
     /// simulator directly.
+    #[inline(always)]
     pub fn eval(self, srcs: [u32; 3]) -> u32 {
         use Opcode::*;
         let [a, b, c] = srcs;
@@ -233,6 +237,67 @@ impl Opcode {
             }
         }
     }
+
+    /// [`Opcode::eval`] across a warp: lane `l` of the result is
+    /// `self.eval([a[l], b[l], c[l]])` for every lane, whatever the lane's
+    /// exec mask (pure opcodes have no side effects, so the caller writes
+    /// back only the lanes that execute).
+    ///
+    /// The semantics live in `eval` alone: each arm below runs `eval` on a
+    /// constant opcode, so once inlined the per-opcode dispatch folds away
+    /// and the loop over the row is that opcode's arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the opcodes [`Opcode::eval`] rejects.
+    #[inline]
+    pub fn eval_row(self, srcs: [&[u32; WARP_SIZE]; 3]) -> [u32; WARP_SIZE] {
+        use Opcode::*;
+        match self {
+            Mov => lanes(Mov, srcs),
+            IAdd => lanes(IAdd, srcs),
+            ISub => lanes(ISub, srcs),
+            IMul => lanes(IMul, srcs),
+            IMad => lanes(IMad, srcs),
+            IMin => lanes(IMin, srcs),
+            IMax => lanes(IMax, srcs),
+            IAnd => lanes(IAnd, srcs),
+            IOr => lanes(IOr, srcs),
+            IXor => lanes(IXor, srcs),
+            IShl => lanes(IShl, srcs),
+            IShr => lanes(IShr, srcs),
+            FAdd => lanes(FAdd, srcs),
+            FMul => lanes(FMul, srcs),
+            FFma => lanes(FFma, srcs),
+            FRcp => lanes(FRcp, srcs),
+            FSqrt => lanes(FSqrt, srcs),
+            FLog2 => lanes(FLog2, srcs),
+            FExp2 => lanes(FExp2, srcs),
+            Setp(cmp) => match cmp {
+                CmpOp::Eq => lanes(Setp(CmpOp::Eq), srcs),
+                CmpOp::Ne => lanes(Setp(CmpOp::Ne), srcs),
+                CmpOp::Lt => lanes(Setp(CmpOp::Lt), srcs),
+                CmpOp::Le => lanes(Setp(CmpOp::Le), srcs),
+                CmpOp::Gt => lanes(Setp(CmpOp::Gt), srcs),
+                CmpOp::Ge => lanes(Setp(CmpOp::Ge), srcs),
+                CmpOp::Ult => lanes(Setp(CmpOp::Ult), srcs),
+                CmpOp::Uge => lanes(Setp(CmpOp::Uge), srcs),
+            },
+            Selp => lanes(Selp, srcs),
+            Shfl | Ldg | Stg | Lds | Sts | Bra | Bar | Exit | Nop => lanes(self, srcs),
+        }
+    }
+}
+
+/// `op.eval` on every lane of the rows `srcs`.
+#[inline(always)]
+fn lanes(op: Opcode, srcs: [&[u32; WARP_SIZE]; 3]) -> [u32; WARP_SIZE] {
+    let [a, b, c] = srcs;
+    let mut out = [0; WARP_SIZE];
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = op.eval([a[l], b[l], c[l]]);
+    }
+    out
 }
 
 impl fmt::Display for Opcode {
@@ -282,6 +347,7 @@ impl fmt::Display for Opcode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn integer_ops_wrap() {
@@ -377,6 +443,98 @@ mod tests {
     #[should_panic(expected = "non-pure opcode")]
     fn eval_rejects_memory_ops() {
         Opcode::Ldg.eval([0, 0, 0]);
+    }
+
+    /// Every opcode [`Opcode::eval`] accepts.
+    fn pure_opcodes() -> Vec<Opcode> {
+        use Opcode::*;
+        let mut ops = vec![
+            Mov, IAdd, ISub, IMul, IMad, IMin, IMax, IAnd, IOr, IXor, IShl, IShr, FAdd, FMul, FFma,
+            FRcp, FSqrt, FLog2, FExp2, Selp,
+        ];
+        ops.extend(
+            [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+                CmpOp::Ult,
+                CmpOp::Uge,
+            ]
+            .map(Setp),
+        );
+        ops
+    }
+
+    /// Words at the edges of the integer and float semantics.
+    const EDGE_WORDS: [u32; 20] = [
+        0,
+        1,
+        u32::MAX,    // -1
+        0x8000_0000, // i32::MIN, -0.0
+        0x7FFF_FFFF, // i32::MAX, a NaN
+        0x7F80_0000, // +inf
+        0xFF80_0000, // -inf
+        0x7FC0_0000, // quiet NaN
+        0x7F80_0001, // signalling NaN
+        0xFFC0_1234, // negative NaN with a payload
+        0x0000_0001, // smallest subnormal
+        0x807F_FFFF, // largest negative subnormal
+        0x0080_0000, // smallest normal
+        0x3F80_0000, // 1.0
+        0xBF80_0000, // -1.0
+        31,
+        32, // shift counts of 32 and above
+        33,
+        63,
+        0xFFFF_FFE0, // shift count 0 after masking
+    ];
+
+    fn word() -> impl Strategy<Value = u32> {
+        (0u8..2, any::<u32>(), 0..EDGE_WORDS.len()).prop_map(|(kind, random, i)| {
+            if kind == 0 {
+                EDGE_WORDS[i]
+            } else {
+                random
+            }
+        })
+    }
+
+    fn row() -> impl Strategy<Value = [u32; WARP_SIZE]> {
+        proptest::collection::vec(word(), WARP_SIZE..WARP_SIZE + 1)
+            .prop_map(|v| v.try_into().expect("WARP_SIZE words"))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn eval_row_matches_per_lane_eval(a in row(), b in row(), c in row()) {
+            for op in pure_opcodes() {
+                let got = op.eval_row([&a, &b, &c]);
+                for lane in 0..WARP_SIZE {
+                    let want = op.eval([a[lane], b[lane], c[lane]]);
+                    proptest::prop_assert_eq!(got[lane], want, "{} in lane {}", op, lane);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eval_row_covers_the_signed_extremes() {
+        let (min, neg1) = (i32::MIN as u32, -1i32 as u32);
+        let a = [min; WARP_SIZE];
+        let b = [neg1; WARP_SIZE];
+        let c = [0; WARP_SIZE];
+        assert_eq!(Opcode::IMin.eval_row([&a, &b, &c]), [min; WARP_SIZE]);
+        assert_eq!(Opcode::IMax.eval_row([&a, &b, &c]), [neg1; WARP_SIZE]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-pure opcode")]
+    fn eval_row_rejects_memory_ops() {
+        let z = [0; WARP_SIZE];
+        Opcode::Lds.eval_row([&z, &z, &z]);
     }
 
     #[test]

@@ -10,9 +10,17 @@
 //!
 //! Execution is register-major, matching [`WarpContext`]'s layout: each
 //! source operand is gathered once per instruction as a row of
-//! [`WARP_SIZE`] values, a guard is one mask operation on the predicate's
-//! lane mask, and the instruction then walks the set bits of its exec mask
-//! in ascending lane order (so global and shared stores keep lane order).
+//! [`WARP_SIZE`] values and a guard is one mask operation on the
+//! predicate's lane mask. ALU opcodes then compute a whole result row with
+//! [`Opcode::eval_row`] and write it back under the exec mask, `Setp` is
+//! one predicate-mask update and `Selp` a row select. Memory opcodes walk
+//! the set bits of the exec mask in ascending lane order, so global and
+//! shared stores keep lane order.
+//!
+//! A shared-memory access whose exec mask is empty (its guard fails in
+//! every lane) is not marked `shared_access`, so the timing model sends it
+//! down the global LSU/L1 path; this quirk is kept because the committed
+//! baselines depend on it.
 
 use prf_isa::{Dst, Instruction, Opcode, Operand, ReconvergenceTable, SpecialReg, WARP_SIZE};
 
@@ -210,58 +218,81 @@ pub fn execute_warp_instruction_into(
 
     // Operands are gathered once, before any lane writes its result, so a
     // destination that is also a source (and Shfl's cross-lane reads) sees
-    // the values from before the instruction. Memory accesses run in
-    // ascending lane order.
-    let [a, b, c] = instr.srcs.map(|op| gather(warp, env, op, exec_mask));
-    for lane in bits(exec_mask.into()) {
-        let result: Option<u32> = match instr.opcode {
-            Opcode::Ldg => {
+    // the values from before the instruction. Register results are
+    // computed for the whole row and written back under the exec mask;
+    // memory accesses run lane by lane in ascending lane order.
+    let [src0, src1, src2] = instr.srcs;
+    let a = gather(warp, env, src0, exec_mask);
+    let b = gather(warp, env, src1, exec_mask);
+    let mut row = [0u32; WARP_SIZE];
+    let writes_row = match instr.opcode {
+        Opcode::Ldg => {
+            for lane in bits(exec_mask.into()) {
                 let addr = a[lane].wrapping_add(instr.mem_offset);
                 outcome.global_addrs.push(addr);
-                Some(global.read(addr))
+                row[lane] = global.read(addr);
             }
-            Opcode::Stg => {
+            true
+        }
+        Opcode::Stg => {
+            for lane in bits(exec_mask.into()) {
                 let addr = a[lane].wrapping_add(instr.mem_offset);
                 outcome.global_addrs.push(addr);
                 global.write(addr, b[lane]);
-                None
             }
-            Opcode::Lds => {
-                outcome.shared_access = true;
-                Some(shared.read(a[lane].wrapping_add(instr.mem_offset)))
+            false
+        }
+        Opcode::Lds => {
+            outcome.shared_access = exec_mask != 0;
+            for lane in bits(exec_mask.into()) {
+                row[lane] = shared.read(a[lane].wrapping_add(instr.mem_offset));
             }
-            Opcode::Sts => {
-                outcome.shared_access = true;
+            true
+        }
+        Opcode::Sts => {
+            outcome.shared_access = exec_mask != 0;
+            for lane in bits(exec_mask.into()) {
                 shared.write(a[lane].wrapping_add(instr.mem_offset), b[lane]);
-                None
             }
-            Opcode::Shfl => Some(a[(b[lane] & 31) as usize]),
-            Opcode::Selp => {
-                // The guard is the selector: every active lane runs and
-                // picks src0 where the predicate holds, src1 elsewhere.
-                let g = instr
-                    .guard
-                    .as_ref()
-                    .expect("selp carries its predicate as guard");
-                let pv = ((warp.preds[g.pred.index()] >> lane) & 1 == 1) == g.expected;
-                Some(Opcode::Selp.eval([a[lane], b[lane], u32::from(pv)]))
+            false
+        }
+        Opcode::Shfl => {
+            for (lane, v) in row.iter_mut().enumerate() {
+                *v = a[(b[lane] & 31) as usize];
             }
-            Opcode::Nop => None,
-            Opcode::Setp(cmp) => {
-                if let Dst::Pred(p) = instr.dst {
-                    let bit = 1u32 << lane;
-                    if cmp.eval(a[lane], b[lane]) {
-                        warp.preds[p.index()] |= bit;
-                    } else {
-                        warp.preds[p.index()] &= !bit;
-                    }
-                }
-                None
+            true
+        }
+        Opcode::Selp => {
+            // The guard is the selector: src0 in the lanes where the
+            // predicate holds, src1 elsewhere (Selp's third operand is the
+            // selector bit).
+            debug_assert!(instr.guard.is_some(), "selp carries its predicate as guard");
+            let selector = std::array::from_fn(|lane| (guard_mask >> lane) & 1);
+            row = Opcode::Selp.eval_row([&a, &b, &selector]);
+            true
+        }
+        Opcode::Setp(cmp) => {
+            if let Dst::Pred(p) = instr.dst {
+                let holds = Opcode::Setp(cmp).eval_row([&a, &b, &[0; WARP_SIZE]]);
+                let holds = (0..WARP_SIZE).fold(0u32, |m, lane| m | holds[lane] << lane);
+                let pred = &mut warp.preds[p.index()];
+                *pred = (*pred & !exec_mask) | (holds & exec_mask);
             }
-            op => Some(op.eval([a[lane], b[lane], c[lane]])),
-        };
-        if let (Some(v), Dst::Reg(r)) = (result, instr.dst) {
-            warp.regs[r.index()][lane] = v;
+            false
+        }
+        Opcode::Nop => false,
+        op => {
+            let c = gather(warp, env, src2, exec_mask);
+            row = op.eval_row([&a, &b, &c]);
+            true
+        }
+    };
+    if let (true, Dst::Reg(r)) = (writes_row, instr.dst) {
+        let dst = &mut warp.regs[r.index()];
+        for (lane, d) in dst.iter_mut().enumerate() {
+            if exec_mask >> lane & 1 != 0 {
+                *d = row[lane];
+            }
         }
     }
 

@@ -2,30 +2,43 @@
 //!
 //! Each SM has `num_schedulers` scheduler instances; warp slot `s` belongs
 //! to scheduler `s % num_schedulers` (the usual striped assignment). Every
-//! cycle the SM asks each scheduler for a priority-ordered candidate list
-//! and issues to the first ready warps.
+//! cycle the SM hands each scheduler its stripe's warp state as
+//! [`StripeMasks`] (`u64` masks over the warp slots: live, blocked on a
+//! long-latency load, waiting at a barrier), takes back a priority-ordered
+//! candidate list and walks it, issuing to the candidates that are ready.
+//!
+//! The walk visits only ready warps: a candidate that cannot issue is
+//! skipped before anything else is computed for it (its issue-jitter hash
+//! included). When no warp of a stripe is ready, the SM does not call
+//! `prioritize` at all if the scheduler reports
+//! [`WarpScheduler::idle_prioritize_is_noop`] (GTO, LRR): their
+//! `prioritize` is a pure function of the masks and of state changed only
+//! by `on_issue`/`on_warp_start`/`on_warp_finish`, and with no ready warp
+//! nothing issues, so the call could neither change state nor issue. TL
+//! demotes/promotes and FG rotates inside `prioritize`, so both are still
+//! called every cycle.
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use crate::config::SchedulerPolicy;
+use crate::exec::bits;
 
-/// Read-only per-warp information a scheduler may consult.
+/// One scheduler stripe's warp state for a scheduling decision: `u64`
+/// masks over the SM's warp slots, with bits set only for slots of this
+/// stripe.
 #[derive(Debug, Clone, Copy)]
-pub struct WarpView {
-    /// Hardware warp slot.
-    pub slot: usize,
-    /// Cycle the warp became resident (age).
-    pub dispatch_cycle: u64,
-    /// The warp exists and has not finished.
-    pub resident: bool,
-    /// The warp is blocked on a long-latency dependence (memory load
-    /// outstanding) — the demotion trigger for the two-level scheduler.
-    pub long_latency_pending: bool,
-    /// The warp is waiting at a CTA barrier — also a two-level demotion
+pub struct StripeMasks {
+    /// Resident warps with lanes left to run.
+    pub live: u64,
+    /// Live warps whose next instruction is blocked by the scoreboard
+    /// while they have loads outstanding: the two-level scheduler's
+    /// demotion trigger, and what rotates the fetch group.
+    pub long_latency: u64,
+    /// Live warps waiting at a CTA barrier, also a two-level demotion
     /// trigger (a barrier-blocked warp must not pin an active-pool slot,
     /// or the warps that could release it never get promoted).
-    pub barrier_waiting: bool,
+    pub at_barrier: u64,
 }
 
 /// Events a scheduler can emit for the SM to act on (e.g. the RFC must
@@ -44,15 +57,16 @@ pub enum SchedulerEvent {
 /// `Send` is a supertrait so whole simulations (SMs own their schedulers)
 /// can move to worker threads of the parallel experiment engine.
 pub trait WarpScheduler: fmt::Debug + Send {
-    /// Returns the candidate warp slots in priority order for this cycle.
-    /// The SM tries them in order and issues to the ready ones.
-    fn prioritize(&mut self, warps: &[WarpView], cycle: u64, out: &mut Vec<usize>);
+    /// Writes this cycle's candidate warp slots, in priority order, to
+    /// `out`. The SM walks them in order and issues to the ready ones.
+    fn prioritize(&mut self, warps: StripeMasks, cycle: u64, out: &mut Vec<usize>);
 
     /// Notifies the scheduler that `slot` issued an instruction.
     fn on_issue(&mut self, slot: usize, cycle: u64);
 
-    /// Notifies the scheduler that a warp became resident.
-    fn on_warp_start(&mut self, slot: usize);
+    /// Notifies the scheduler that a warp became resident in `slot` at
+    /// `dispatch_cycle`.
+    fn on_warp_start(&mut self, slot: usize, dispatch_cycle: u64);
 
     /// Notifies the scheduler that a warp finished.
     fn on_warp_finish(&mut self, slot: usize);
@@ -64,12 +78,12 @@ pub trait WarpScheduler: fmt::Debug + Send {
 
     /// True when calling [`WarpScheduler::prioritize`] on a cycle where no
     /// warp issues leaves the scheduler's observable state unchanged. The
-    /// skip-ahead fast-forward relies on this to elide idle cycles: GTO and
-    /// LRR change their order only in `on_issue` (GTO's age list caches a
-    /// sorted order that is the same whenever it is built), while the
-    /// two-level scheduler
-    /// demotes/promotes and the fetch-group scheduler rotates inside
-    /// `prioritize` itself, so those two veto skipping.
+    /// SM then skips the call for a stripe with no ready warp, and the
+    /// skip-ahead fast-forward elides idle cycles. GTO and LRR change their
+    /// order only in `on_issue`, `on_warp_start` and `on_warp_finish`,
+    /// while the two-level scheduler demotes/promotes and the fetch-group
+    /// scheduler rotates inside `prioritize` itself, so those two veto
+    /// skipping.
     fn idle_prioritize_is_noop(&self) -> bool {
         false
     }
@@ -100,15 +114,13 @@ pub fn build_scheduler(policy: SchedulerPolicy) -> Box<dyn WarpScheduler> {
 /// cannot issue, fall back to the oldest (earliest-dispatched) warp.
 ///
 /// Ages are kept in a list sorted by `(dispatch_cycle, slot)`: a warp is
-/// inserted the first time it appears in the views and removed when it
-/// finishes, so no cycle sorts. Slots must be below 64.
+/// inserted when it starts and removed when it finishes, so no cycle
+/// sorts and `prioritize` changes nothing. Slots must be below 64.
 #[derive(Debug, Default)]
 pub struct GtoScheduler {
     greedy: Option<usize>,
-    /// Warps seen since they started, oldest first.
+    /// Resident warps, oldest first.
     by_age: Vec<(u64, usize)>,
-    /// Slots present in `by_age`.
-    known: u64,
 }
 
 impl GtoScheduler {
@@ -119,29 +131,15 @@ impl GtoScheduler {
 }
 
 impl WarpScheduler for GtoScheduler {
-    fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
+    fn prioritize(&mut self, warps: StripeMasks, _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
-        let mut present = 0u64;
-        for w in warps.iter().filter(|w| w.resident) {
-            let bit = 1u64 << w.slot;
-            present |= bit;
-            if self.known & bit == 0 {
-                let age = (w.dispatch_cycle, w.slot);
-                let at = self.by_age.partition_point(|&a| a < age);
-                self.by_age.insert(at, age);
-                self.known |= bit;
-            }
-        }
-        if let Some(g) = self.greedy {
-            if present & (1u64 << g) != 0 {
-                out.push(g);
-            }
-        }
+        let greedy = self.greedy.filter(|&g| warps.live & (1u64 << g) != 0);
+        out.extend(greedy);
         out.extend(
             self.by_age
                 .iter()
                 .map(|&(_, slot)| slot)
-                .filter(|&slot| present & (1u64 << slot) != 0 && Some(slot) != self.greedy),
+                .filter(|&slot| warps.live & (1u64 << slot) != 0 && Some(slot) != greedy),
         );
     }
 
@@ -149,16 +147,17 @@ impl WarpScheduler for GtoScheduler {
         self.greedy = Some(slot);
     }
 
-    fn on_warp_start(&mut self, _slot: usize) {}
+    fn on_warp_start(&mut self, slot: usize, dispatch_cycle: u64) {
+        let age = (dispatch_cycle, slot);
+        let at = self.by_age.partition_point(|&a| a < age);
+        self.by_age.insert(at, age);
+    }
 
     fn on_warp_finish(&mut self, slot: usize) {
         if self.greedy == Some(slot) {
             self.greedy = None;
         }
-        if self.known & (1u64 << slot) != 0 {
-            self.known &= !(1u64 << slot);
-            self.by_age.retain(|&(_, s)| s != slot);
-        }
+        self.by_age.retain(|&(_, s)| s != slot);
     }
 
     fn idle_prioritize_is_noop(&self) -> bool {
@@ -178,8 +177,6 @@ impl WarpScheduler for GtoScheduler {
 #[derive(Debug, Default)]
 pub struct LrrScheduler {
     last: Option<usize>,
-    /// Scratch reused across cycles.
-    slots: Vec<usize>,
 }
 
 impl LrrScheduler {
@@ -190,27 +187,22 @@ impl LrrScheduler {
 }
 
 impl WarpScheduler for LrrScheduler {
-    fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
+    fn prioritize(&mut self, warps: StripeMasks, _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
-        self.slots.clear();
-        self.slots
-            .extend(warps.iter().filter(|w| w.resident).map(|w| w.slot));
-        self.slots.sort_unstable();
-        if self.slots.is_empty() {
-            return;
-        }
-        let start = match self.last {
-            Some(l) => self.slots.iter().position(|&s| s > l).unwrap_or(0),
-            None => 0,
-        };
-        out.extend(self.slots[start..].iter().chain(self.slots[..start].iter()));
+        // Slots above the last issued one first, then the rest, each in
+        // ascending order.
+        let above = self.last.map_or(u64::MAX, |l| {
+            u64::MAX.checked_shl(l as u32 + 1).unwrap_or(0)
+        });
+        out.extend(bits(warps.live & above));
+        out.extend(bits(warps.live & !above));
     }
 
     fn on_issue(&mut self, slot: usize, _cycle: u64) {
         self.last = Some(slot);
     }
 
-    fn on_warp_start(&mut self, _slot: usize) {}
+    fn on_warp_start(&mut self, _slot: usize, _dispatch_cycle: u64) {}
 
     fn on_warp_finish(&mut self, _slot: usize) {}
 
@@ -272,23 +264,21 @@ impl TwoLevelScheduler {
 }
 
 impl WarpScheduler for TwoLevelScheduler {
-    fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
+    fn prioritize(&mut self, warps: StripeMasks, _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
-        // Demote blocked active warps.
+        // Demote blocked active warps; warps no longer live leave the pool
+        // without joining the pending queue.
+        let blocked = warps.long_latency | warps.at_barrier;
         let mut i = 0;
         while i < self.active.len() {
             let slot = self.active[i];
-            let view = warps.iter().find(|w| w.slot == slot);
-            let demote =
-                view.is_none_or(|w| !w.resident || w.long_latency_pending || w.barrier_waiting);
-            if demote {
+            let bit = 1u64 << slot;
+            if warps.live & bit == 0 {
                 self.active.remove(i);
-                if let Some(w) = view {
-                    if w.resident {
-                        self.pending.push_back(slot);
-                        self.events.push(SchedulerEvent::Deactivated { slot });
-                    }
-                }
+            } else if blocked & bit != 0 {
+                self.active.remove(i);
+                self.pending.push_back(slot);
+                self.events.push(SchedulerEvent::Deactivated { slot });
             } else {
                 i += 1;
             }
@@ -313,7 +303,7 @@ impl WarpScheduler for TwoLevelScheduler {
         }
     }
 
-    fn on_warp_start(&mut self, slot: usize) {
+    fn on_warp_start(&mut self, slot: usize, _dispatch_cycle: u64) {
         if self.active.len() < self.active_size {
             self.active.push(slot);
         } else {
@@ -340,15 +330,14 @@ impl WarpScheduler for TwoLevelScheduler {
 // Fetch-group
 // ---------------------------------------------------------------------
 
-/// Fetch-group scheduling (Narasiman et al., MICRO 2011): warps are grouped
-/// by slot; the current group has priority until all of its warps are
-/// blocked, then priority rotates to the next group.
+/// Fetch-group scheduling (Narasiman et al., MICRO 2011): the live warps,
+/// in slot order, form groups of `group_size`; the current group has
+/// priority until all of its warps are blocked, then priority rotates to
+/// the next group.
 #[derive(Debug)]
 pub struct FetchGroupScheduler {
     group_size: usize,
     current_group: usize,
-    /// Scratch reused across cycles: (slot, long_latency_pending).
-    slots: Vec<(usize, bool)>,
 }
 
 impl FetchGroupScheduler {
@@ -357,52 +346,35 @@ impl FetchGroupScheduler {
         FetchGroupScheduler {
             group_size: group_size.max(1),
             current_group: 0,
-            slots: Vec::new(),
         }
     }
 }
 
 impl WarpScheduler for FetchGroupScheduler {
-    fn prioritize(&mut self, warps: &[WarpView], _cycle: u64, out: &mut Vec<usize>) {
+    fn prioritize(&mut self, warps: StripeMasks, _cycle: u64, out: &mut Vec<usize>) {
         out.clear();
-        self.slots.clear();
-        self.slots.extend(
-            warps
-                .iter()
-                .filter(|w| w.resident)
-                .map(|w| (w.slot, w.long_latency_pending)),
-        );
-        if self.slots.is_empty() {
+        out.extend(bits(warps.live));
+        if out.is_empty() {
             return;
         }
-        self.slots.sort_unstable();
-        let num_groups = self.slots.len().div_ceil(self.group_size);
+        let size = self.group_size;
+        let num_groups = out.len().div_ceil(size);
         let cur = self.current_group % num_groups;
         // If every warp of the current group is long-latency blocked, rotate.
-        let cur_blocked = self
-            .slots
+        let cur_blocked = out[cur * size..out.len().min((cur + 1) * size)]
             .iter()
-            .skip(cur * self.group_size)
-            .take(self.group_size)
-            .all(|&(_, long)| long);
+            .all(|&slot| warps.long_latency & (1u64 << slot) != 0);
         if cur_blocked {
             self.current_group = (cur + 1) % num_groups;
         }
-        let cur = self.current_group % num_groups;
-        for g in 0..num_groups {
-            out.extend(
-                self.slots
-                    .iter()
-                    .skip(((cur + g) % num_groups) * self.group_size)
-                    .take(self.group_size)
-                    .map(|&(slot, _)| slot),
-            );
-        }
+        // The groups are consecutive runs of `out`, so listing them from
+        // the current one round is a rotation.
+        out.rotate_left((self.current_group % num_groups) * size);
     }
 
     fn on_issue(&mut self, _slot: usize, _cycle: u64) {}
 
-    fn on_warp_start(&mut self, _slot: usize) {}
+    fn on_warp_start(&mut self, _slot: usize, _dispatch_cycle: u64) {}
 
     fn on_warp_finish(&mut self, _slot: usize) {}
 
@@ -415,47 +387,71 @@ impl WarpScheduler for FetchGroupScheduler {
 mod tests {
     use super::*;
 
-    fn views(slots: &[(usize, u64, bool)]) -> Vec<WarpView> {
-        slots
-            .iter()
-            .map(|&(slot, age, mem)| WarpView {
-                slot,
-                dispatch_cycle: age,
-                resident: true,
-                long_latency_pending: mem,
-                barrier_waiting: false,
-            })
-            .collect()
+    fn mask(slots: &[usize]) -> u64 {
+        slots.iter().fold(0, |m, &s| m | 1u64 << s)
+    }
+
+    /// Masks with `live` warps, of which `long` are long-latency blocked.
+    fn masks(live: &[usize], long: &[usize]) -> StripeMasks {
+        StripeMasks {
+            live: mask(live),
+            long_latency: mask(long),
+            at_barrier: 0,
+        }
     }
 
     #[test]
     fn gto_prefers_greedy_then_oldest() {
         let mut s = GtoScheduler::new();
-        let w = views(&[(0, 30, false), (4, 10, false), (8, 20, false)]);
+        for (slot, age) in [(0, 30), (4, 10), (8, 20)] {
+            s.on_warp_start(slot, age);
+        }
+        let w = masks(&[0, 4, 8], &[]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(w, 0, &mut out);
         // No greedy yet: oldest first.
         assert_eq!(out, vec![4, 8, 0]);
         s.on_issue(8, 1);
-        s.prioritize(&w, 2, &mut out);
+        s.prioritize(w, 2, &mut out);
         assert_eq!(out, vec![8, 4, 0]);
         s.on_warp_finish(8);
-        s.prioritize(&w, 3, &mut out);
+        s.prioritize(masks(&[0, 4], &[]), 3, &mut out);
         assert_eq!(out[0], 4);
+    }
+
+    #[test]
+    fn gto_ages_follow_dispatch_cycle_not_start_order() {
+        let mut s = GtoScheduler::new();
+        // The younger warp starts first, in the lower slot; two warps
+        // dispatched in the same cycle tie-break by slot.
+        s.on_warp_start(2, 20);
+        s.on_warp_start(9, 10);
+        s.on_warp_start(6, 10);
+        let mut out = Vec::new();
+        s.prioritize(masks(&[2, 6, 9], &[]), 30, &mut out);
+        assert_eq!(out, vec![6, 9, 2]);
+        // A warp that is no longer live is not a candidate, and a slot
+        // reused after a finish takes its new dispatch cycle.
+        s.prioritize(masks(&[2, 9], &[]), 31, &mut out);
+        assert_eq!(out, vec![9, 2]);
+        s.on_warp_finish(9);
+        s.on_warp_start(9, 40);
+        s.prioritize(masks(&[2, 6, 9], &[]), 41, &mut out);
+        assert_eq!(out, vec![6, 2, 9]);
     }
 
     #[test]
     fn lrr_rotates_past_last_issued() {
         let mut s = LrrScheduler::new();
-        let w = views(&[(0, 0, false), (4, 0, false), (8, 0, false)]);
+        let w = masks(&[0, 4, 8], &[]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(w, 0, &mut out);
         assert_eq!(out, vec![0, 4, 8]);
         s.on_issue(0, 0);
-        s.prioritize(&w, 1, &mut out);
+        s.prioritize(w, 1, &mut out);
         assert_eq!(out, vec![4, 8, 0]);
         s.on_issue(8, 1);
-        s.prioritize(&w, 2, &mut out);
+        s.prioritize(w, 2, &mut out);
         assert_eq!(out, vec![0, 4, 8]);
     }
 
@@ -463,12 +459,12 @@ mod tests {
     fn two_level_caps_active_pool() {
         let mut s = TwoLevelScheduler::new(2);
         for slot in [0, 4, 8, 12] {
-            s.on_warp_start(slot);
+            s.on_warp_start(slot, 0);
         }
         assert_eq!(s.active_pool(), &[0, 4]);
-        let w = views(&[(0, 0, false), (4, 0, false), (8, 0, false), (12, 0, false)]);
+        let w = masks(&[0, 4, 8, 12], &[]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(w, 0, &mut out);
         assert_eq!(out.len(), 2);
         assert!(out.contains(&0) && out.contains(&4));
     }
@@ -477,12 +473,12 @@ mod tests {
     fn two_level_demotes_blocked_warps_and_emits_event() {
         let mut s = TwoLevelScheduler::new(2);
         for slot in [0, 4, 8] {
-            s.on_warp_start(slot);
+            s.on_warp_start(slot, 0);
         }
         // Warp 0 blocks on memory.
-        let w = views(&[(0, 0, true), (4, 0, false), (8, 0, false)]);
+        let w = masks(&[0, 4, 8], &[0]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(w, 0, &mut out);
         assert!(!out.contains(&0), "blocked warp must leave the pool");
         assert!(out.contains(&8), "pending warp must be promoted");
         let mut ev = Vec::new();
@@ -497,26 +493,15 @@ mod tests {
     #[test]
     fn two_level_demotes_barrier_blocked_warps() {
         let mut s = TwoLevelScheduler::new(1);
-        s.on_warp_start(0);
-        s.on_warp_start(4);
-        let w = vec![
-            WarpView {
-                slot: 0,
-                dispatch_cycle: 0,
-                resident: true,
-                long_latency_pending: false,
-                barrier_waiting: true,
-            },
-            WarpView {
-                slot: 4,
-                dispatch_cycle: 0,
-                resident: true,
-                long_latency_pending: false,
-                barrier_waiting: false,
-            },
-        ];
+        s.on_warp_start(0, 0);
+        s.on_warp_start(4, 0);
+        let w = StripeMasks {
+            live: mask(&[0, 4]),
+            long_latency: 0,
+            at_barrier: mask(&[0]),
+        };
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(w, 0, &mut out);
         assert_eq!(
             out,
             vec![4],
@@ -525,10 +510,36 @@ mod tests {
     }
 
     #[test]
+    fn two_level_reshuffles_pools_when_no_warp_is_ready() {
+        // Every live warp of the stripe is blocked, so none can issue; the
+        // call must still demote, promote and report the demotions (the SM
+        // never skips `prioritize` for this scheduler).
+        let mut s = TwoLevelScheduler::new(2);
+        for slot in [0, 4, 8] {
+            s.on_warp_start(slot, 0);
+        }
+        assert!(!s.idle_prioritize_is_noop());
+        let w = masks(&[0, 4, 8], &[0, 4, 8]);
+        let mut out = Vec::new();
+        s.prioritize(w, 0, &mut out);
+        assert_eq!(s.active_pool(), &[8, 0], "pending warp 8 is promoted");
+        assert_eq!(out, vec![8, 0]);
+        let mut ev = Vec::new();
+        s.drain_events(&mut ev);
+        assert_eq!(
+            ev,
+            vec![
+                SchedulerEvent::Deactivated { slot: 0 },
+                SchedulerEvent::Deactivated { slot: 4 },
+            ]
+        );
+    }
+
+    #[test]
     fn two_level_finish_promotes_pending() {
         let mut s = TwoLevelScheduler::new(1);
-        s.on_warp_start(0);
-        s.on_warp_start(4);
+        s.on_warp_start(0, 0);
+        s.on_warp_start(4, 0);
         assert_eq!(s.active_pool(), &[0]);
         s.on_warp_finish(0);
         assert_eq!(s.active_pool(), &[4]);
@@ -537,18 +548,18 @@ mod tests {
     #[test]
     fn fetch_group_prioritizes_current_group() {
         let mut s = FetchGroupScheduler::new(2);
-        let w = views(&[(0, 0, false), (4, 0, false), (8, 0, false), (12, 0, false)]);
+        let w = masks(&[0, 4, 8, 12], &[]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(w, 0, &mut out);
         assert_eq!(out, vec![0, 4, 8, 12]);
     }
 
     #[test]
     fn fetch_group_rotates_when_group_blocked() {
         let mut s = FetchGroupScheduler::new(2);
-        let w = views(&[(0, 0, true), (4, 0, true), (8, 0, false), (12, 0, false)]);
+        let w = masks(&[0, 4, 8, 12], &[0, 4]);
         let mut out = Vec::new();
-        s.prioritize(&w, 0, &mut out);
+        s.prioritize(w, 0, &mut out);
         assert_eq!(out, vec![8, 12, 0, 4]);
     }
 

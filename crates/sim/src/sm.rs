@@ -27,7 +27,7 @@ use crate::exec::{bits, execute_warp_instruction_into, ExecEnv, ExecOutcome};
 use crate::mem::{GlobalMemory, GmemView, L1Cache, LoadStoreUnit, SharedMemory};
 use crate::rf::{AccessKind, RegisterFileModel, ResolvedAccess, WarpLifecycle};
 use crate::sampling::{SampleSeries, SmSampler};
-use crate::scheduler::{build_scheduler, SchedulerEvent, WarpScheduler, WarpView};
+use crate::scheduler::{build_scheduler, SchedulerEvent, StripeMasks, WarpScheduler};
 use crate::scoreboard::{Hazard, Scoreboard};
 use crate::stats::SmStats;
 use crate::trace::{TraceEvent, TraceRing};
@@ -157,7 +157,6 @@ pub struct Sm {
     collected_scratch: Vec<CollectedInstr>,
     writes_done_scratch: Vec<CompletedWrite>,
     segs_scratch: Vec<u32>,
-    views_scratch: Vec<WarpView>,
     order_scratch: Vec<usize>,
     reads_scratch: Vec<Reg>,
     resolved_scratch: Vec<ResolvedAccess>,
@@ -252,7 +251,6 @@ impl Sm {
             collected_scratch: Vec::new(),
             writes_done_scratch: Vec::new(),
             segs_scratch: Vec::new(),
-            views_scratch: Vec::new(),
             order_scratch: Vec::new(),
             reads_scratch: Vec::new(),
             resolved_scratch: Vec::new(),
@@ -450,7 +448,7 @@ impl Sm {
             self.scoreboards[slot] = Scoreboard::new();
             self.pending_loads[slot] = 0;
             let nsched = self.schedulers.len();
-            self.schedulers[slot % nsched].on_warp_start(slot);
+            self.schedulers[slot % nsched].on_warp_start(slot, cycle);
             self.rf.on_warp_start(
                 WarpLifecycle {
                     slot,
@@ -641,43 +639,38 @@ impl Sm {
         }
     }
 
-    fn warp_views_into(&self, sched: usize, views: &mut Vec<WarpView>) {
-        views.clear();
-        // "Long latency pending" = the warp's next instruction is blocked
-        // by the scoreboard while it has loads outstanding — the two-level
-        // scheduler's demotion trigger.
-        let long = self.loading & !self.hazard_free;
-        for slot in bits(self.live & self.stripes[sched]) {
-            let w = self.warps[slot].as_ref().expect("live warps are resident");
-            let bit = 1u64 << slot;
-            views.push(WarpView {
-                slot,
-                dispatch_cycle: w.dispatch_cycle,
-                resident: true,
-                long_latency_pending: long & bit != 0,
-                barrier_waiting: self.at_barrier & bit != 0,
-            });
+    /// Scheduler `sched`'s stripe of the warp state, for `prioritize`.
+    fn stripe_masks(&self, sched: usize) -> StripeMasks {
+        let live = self.live & self.stripes[sched];
+        StripeMasks {
+            live,
+            // "Long latency" = the warp's next instruction is blocked by
+            // the scoreboard while it has loads outstanding.
+            long_latency: live & self.loading & !self.hazard_free,
+            at_barrier: live & self.at_barrier,
         }
     }
 
-    /// Slots that can issue their next instruction as far as the warp
-    /// itself goes (live, not at a barrier, no scoreboard hazard); the
-    /// ones in `wants_collector` also need a free collector unit.
-    fn issuable(&self) -> u64 {
-        self.live & !self.at_barrier & self.hazard_free
+    /// Slots that can issue their next instruction this cycle: live, not
+    /// at a barrier, no scoreboard hazard, and a free collector unit for
+    /// those whose instruction needs one.
+    fn ready(&self) -> u64 {
+        let issuable = self.live & !self.at_barrier & self.hazard_free;
+        if self.collector.has_free_unit() {
+            issuable
+        } else {
+            issuable & !self.wants_collector
+        }
     }
 
     /// Returns true when the warp at `slot` can issue its next instruction.
     fn can_issue(&self, slot: usize) -> bool {
-        let bit = 1u64 << slot;
-        self.issuable() & bit != 0
-            && (self.wants_collector & bit == 0 || self.collector.has_free_unit())
+        self.ready() & (1u64 << slot) != 0
     }
 
-    /// Issues the next instruction of warp `slot`. Caller must have checked
-    /// [`Sm::can_issue`].
-    fn issue(&mut self, slot: usize, cycle: u64, global: &mut GmemView<'_>) {
-        let image = Arc::clone(&self.image);
+    /// Issues the next instruction of warp `slot`; `image` is this SM's
+    /// kernel image. Caller must have checked [`Sm::can_issue`].
+    fn issue(&mut self, image: &KernelImage, slot: usize, cycle: u64, global: &mut GmemView<'_>) {
         let w = self.warps[slot]
             .as_mut()
             .expect("can_issue checked residency");
@@ -1038,20 +1031,31 @@ impl Sm {
 
         // 5. Issue. Global writes are staged into `global_writes` through a
         // GmemView; the driver commits them in SM-id order after all SMs
-        // have stepped this cycle.
+        // have stepped this cycle. Only ready warps are visited: a stripe
+        // without one skips `prioritize` when that call is a no-op, and a
+        // candidate that cannot issue is passed over before its jitter hash
+        // (skipping it is exact: the collector-stall check below can only
+        // newly fire after an issue).
         let mut issued_total = 0u32;
-        let mut views = std::mem::take(&mut self.views_scratch);
+        let image = Arc::clone(&self.image);
         let mut order = std::mem::take(&mut self.order_scratch);
         let mut staged = std::mem::take(&mut self.global_writes);
         let mut gmem = GmemView::new(global, &mut staged);
         for sched in 0..self.schedulers.len() {
-            self.warp_views_into(sched, &mut views);
-            order.clear();
-            self.schedulers[sched].prioritize(&views, cycle, &mut order);
+            if self.ready() & self.stripes[sched] == 0
+                && self.schedulers[sched].idle_prioritize_is_noop()
+            {
+                continue;
+            }
+            let masks = self.stripe_masks(sched);
+            self.schedulers[sched].prioritize(masks, cycle, &mut order);
             let mut issued = 0usize;
             for &slot in &order {
                 if issued >= self.config.issue_per_scheduler {
                     break;
+                }
+                if !self.can_issue(slot) {
+                    continue;
                 }
                 // Deterministic issue jitter: skip this warp this cycle
                 // with probability 1/issue_jitter (see GpuConfig).
@@ -1069,7 +1073,7 @@ impl Sm {
                 // GTO greediness: a warp may issue both slots of its
                 // scheduler in one cycle if it stays ready.
                 while issued < self.config.issue_per_scheduler && self.can_issue(slot) {
-                    self.issue(slot, cycle, &mut gmem);
+                    self.issue(&image, slot, cycle, &mut gmem);
                     self.schedulers[sched].on_issue(slot, cycle);
                     issued += 1;
                 }
@@ -1083,7 +1087,6 @@ impl Sm {
             self.schedulers[sched].drain_events(&mut self.sched_events);
         }
         self.global_writes = staged;
-        self.views_scratch = views;
         self.order_scratch = order;
         for ev in self.sched_events.drain(..) {
             match ev {
@@ -1178,10 +1181,7 @@ impl Sm {
             let c = c.max(cycle + 1);
             horizon = Some(horizon.map_or(c, |h| h.min(c)));
         };
-        let issuable = self.issuable();
-        if issuable & !self.wants_collector != 0
-            || (issuable != 0 && self.collector.has_free_unit())
-        {
+        if self.ready() != 0 {
             merge(cycle + 1);
         }
         // A fully arrived barrier releases on the next cycle (phase 4).

@@ -201,7 +201,7 @@ pub struct WarpContext {
     pub preds: [u32; NUM_PRED_REGS],
     /// Blocking condition.
     pub block: WarpBlock,
-    /// Cycle the warp became resident (used by GTO's "oldest" ordering).
+    /// Cycle the warp became resident.
     pub dispatch_cycle: u64,
     /// Set once all lanes have exited *and* all in-flight instructions have
     /// written back.
