@@ -25,9 +25,9 @@
 //! `tests/cache_shard.rs` guards the contract.
 //!
 //! On top of the structural self-versioning, [`DIGEST_VERSION`] is mixed
-//! into every digest. Bump it whenever the *semantics* of a field change
-//! without its `Debug` shape changing (e.g. a latency that used to mean
-//! "cycles" now means "half-cycles"), or when the cached result format
+//! into every [`job_digest`]. Bump it whenever the *semantics* of a field
+//! change without its `Debug` shape changing (e.g. a latency that used to
+//! mean "cycles" now means "half-cycles"), or when the cached result format
 //! changes incompatibly ([`crate::cache::CACHE_SCHEMA_VERSION`] is mixed
 //! in by the cache layer for exactly that reason).
 
@@ -35,9 +35,16 @@ use std::fmt::Write as _;
 
 use crate::runner::Job;
 
-/// Version of the digest encoding itself. Bump on any semantic change
-/// that the structural (Debug-shaped) encoding would not capture.
-pub const DIGEST_VERSION: u64 = 1;
+/// Version of the job-digest encoding. Bump on any change to the encoded
+/// inputs, including the semantic ones that the structural (Debug-shaped)
+/// encoding would not capture.
+pub const DIGEST_VERSION: u64 = 2;
+
+/// Version of the [`DigestBuilder`] framing, hashed first into every
+/// digest the builder makes. It changes only if the framing itself does,
+/// so digests of simulated output stay comparable across job-digest
+/// versions.
+const FRAME_VERSION: u64 = 1;
 
 /// A minimal, dependency-free SHA-256 (FIPS 180-4). Plenty fast for
 /// hashing job descriptions — the unit of work here is an entire GPU
@@ -195,7 +202,7 @@ impl DigestBuilder {
         let mut b = DigestBuilder {
             hasher: Sha256::new(),
         };
-        b.field_u64("digest_version", DIGEST_VERSION);
+        b.field_u64("digest_version", FRAME_VERSION);
         b
     }
 
@@ -249,12 +256,13 @@ impl DigestBuilder {
 /// not force a re-simulation.
 pub fn job_digest(job: &Job) -> String {
     let mut b = DigestBuilder::new();
+    b.field_u64("job_digest_version", DIGEST_VERSION);
 
     // GpuConfig — Debug covers every field (jitter_seed, scheduler,
-    // sampling, audit, ...) in declaration order. sm_threads and
-    // skip_ahead are bit-identity-neutral by construction, but they stay
-    // in the digest: proving neutrality is the simulator's test suite's
-    // job, not the cache's.
+    // sampling, audit, ...) in declaration order. skip_ahead is
+    // bit-identity-neutral by construction, but it stays in the digest:
+    // proving neutrality is the simulator's test suite's job, not the
+    // cache's.
     b.section("gpu").field_debug("config", &job.gpu);
 
     // RF organisation, nested configs included.

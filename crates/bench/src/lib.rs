@@ -53,18 +53,17 @@ pub fn audit_from_args() -> bool {
 }
 
 /// The sampled-telemetry window requested via `--sample <cycles>` (or
-/// `--sample=<cycles>`), falling back to the `PRF_SAMPLE_WINDOW`
-/// environment variable. `None` — the default — disables sampling, which
+/// `--sample=<cycles>`). `None` — the default — disables sampling, which
 /// keeps simulation output bit-identical to builds predating telemetry.
 ///
 /// # Panics
 ///
 /// Panics when a window is present but not a positive integer.
 pub fn sampling_from_args() -> Option<SamplingConfig> {
-    fn parse(source: &str, v: &str) -> SamplingConfig {
+    fn parse(v: &str) -> SamplingConfig {
         match v.trim().parse::<u64>() {
             Ok(w) if w >= 1 => SamplingConfig::every(w),
-            _ => panic!("{source}: sampling window `{v}` is not a positive cycle count"),
+            _ => panic!("--sample: sampling window `{v}` is not a positive cycle count"),
         }
     }
     let mut args = std::env::args();
@@ -73,15 +72,13 @@ pub fn sampling_from_args() -> Option<SamplingConfig> {
             let v = args
                 .next()
                 .unwrap_or_else(|| panic!("--sample needs a window argument (cycles)"));
-            return Some(parse("--sample", &v));
+            return Some(parse(&v));
         }
         if let Some(v) = arg.strip_prefix("--sample=") {
-            return Some(parse("--sample", v));
+            return Some(parse(v));
         }
     }
-    std::env::var("PRF_SAMPLE_WINDOW")
-        .ok()
-        .map(|v| parse("PRF_SAMPLE_WINDOW", &v))
+    None
 }
 
 /// Parses a `--faults` spec of the form `"<seed>,<vdd>"`, e.g. `"42,0.3"`.
@@ -144,47 +141,12 @@ pub fn campaign_faults() -> Option<FaultConfig> {
     FAULTS.get_or_init(faults_from_args).clone()
 }
 
-/// Number of worker threads for intra-simulation SM parallelism, from the
-/// `PRF_SM_THREADS` environment variable. Defaults to 1 (serial stepping).
-/// Results are bit-identical at any thread count — this only trades
-/// wall-clock for cores on multi-SM configurations (single-SM runs ignore
-/// it). Invalid values warn on stderr and fall back to 1, matching the
-/// `PRF_THREADS` convention.
-pub fn sm_threads_from_env() -> usize {
-    if let Ok(v) = std::env::var("PRF_SM_THREADS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => eprintln!("PRF_SM_THREADS={v:?} is not a positive integer; using 1"),
-        }
-    }
-    1
-}
-
-/// SM-count override from the `PRF_NUM_SMS` environment variable, if set.
-/// The figure binaries default to the paper's single-SM configuration
-/// (register-file behaviour is per-SM); overriding lets the perf-smoke CI
-/// job and scaling experiments exercise the multi-SM driver on the same
-/// binaries without changing their reported defaults. Invalid values warn
-/// on stderr and are ignored, matching the `PRF_THREADS` convention.
-pub fn num_sms_from_env() -> Option<usize> {
-    let v = std::env::var("PRF_NUM_SMS").ok()?;
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("PRF_NUM_SMS={v:?} is not a positive integer; using the config default");
-            None
-        }
-    }
-}
-
 /// The single-SM Kepler configuration used by the workload experiments
 /// (register-file behaviour is per-SM; see DESIGN.md). Honours the
 /// `--audit`, `--sample` (see [`sampling_from_args`]) and `--trace-out`
 /// command-line flags — the last turns on the pipeline trace ring so the
-/// Chrome-trace exporter has events to render — plus the `PRF_NUM_SMS`
-/// and `PRF_SM_THREADS` environment overrides for multi-SM scaling runs.
+/// Chrome-trace exporter has events to render.
 pub fn experiment_gpu(scheduler: SchedulerPolicy) -> GpuConfig {
-    let base = GpuConfig::kepler_single_sm();
     GpuConfig {
         scheduler,
         audit: audit_from_args(),
@@ -194,9 +156,7 @@ pub fn experiment_gpu(scheduler: SchedulerPolicy) -> GpuConfig {
         } else {
             0
         },
-        num_sms: num_sms_from_env().unwrap_or(base.num_sms),
-        sm_threads: sm_threads_from_env(),
-        ..base
+        ..GpuConfig::kepler_single_sm()
     }
 }
 

@@ -477,7 +477,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs one job attempt behind `catch_unwind` and classifies how it
 /// ended. Never panics: the closure's own panics become
-/// [`JobOutcome::Panicked`], and a deterministic [`SimError`] becomes
+/// [`JobOutcome::Panicked`], and every [`SimError`] becomes
 /// [`JobOutcome::Rejected`].
 ///
 /// Generic over the attempt so callers can wrap the simulation (the
@@ -491,15 +491,9 @@ where
 {
     match catch_unwind(AssertUnwindSafe(attempt)) {
         Ok(Ok(result)) => (JobOutcome::Completed, Some(result)),
-        Ok(Err(e)) if e.is_deterministic() => (
+        Ok(Err(e)) => (
             JobOutcome::Rejected {
                 reason: e.to_string(),
-            },
-            None,
-        ),
-        Ok(Err(e)) => (
-            JobOutcome::Panicked {
-                message: e.to_string(),
             },
             None,
         ),

@@ -131,19 +131,12 @@ pub struct GpuConfig {
     /// off by default, on in integration tests and under `--audit` in the
     /// figure binaries.
     pub audit: bool,
-    /// Worker threads for intra-simulation SM parallelism: each cycle, the
-    /// SMs step concurrently on a persistent scoped pool and their buffered
-    /// global-memory writes commit in SM-id order at the cycle barrier, so
-    /// the result is bit-identical to the serial loop. `1` (the default)
-    /// keeps the serial loop; values above `num_sms` are clamped. Plumbed
-    /// from `PRF_SM_THREADS` by the experiment harness.
-    pub sm_threads: usize,
     /// Skip-ahead over fully-stalled spans: when no warp on any SM can
     /// issue and every pending event (LSU completion, execution-pipe
     /// result, collector data return, CTA-dispatch window) lies strictly
     /// beyond the next cycle, the driver fast-forwards to the earliest
     /// such event, replaying only the per-cycle bookkeeping (stall
-    /// classification, RF-model tick, sampling) the serial loop would have
+    /// classification, RF-model tick, sampling) a stepped cycle would have
     /// performed. Exact by construction — disabled automatically for
     /// schedulers whose prioritisation mutates state on idle cycles
     /// (two-level, fetch-group).
@@ -181,7 +174,6 @@ impl GpuConfig {
             trace_capacity: 0,
             sampling: None,
             audit: false,
-            sm_threads: 1,
             skip_ahead: true,
         }
     }

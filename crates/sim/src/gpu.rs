@@ -1,15 +1,14 @@
 //! The whole-GPU simulation driver: CTA dispatch across SMs and the main
 //! cycle loop.
 //!
-//! # Determinism under SM-parallel stepping
+//! # Multi-SM memory model
 //!
-//! Every cycle is a barrier: all SMs step cycle `c` before any SM sees
-//! cycle `c + 1`. Within the cycle, SMs only *read* global memory (their
-//! stores are staged in a per-SM log, see [`crate::GmemView`]); the driver
-//! then commits the logs in ascending SM order. Both the serial and the
-//! SM-parallel paths follow this exact schedule, so a parallel run is
-//! bit-for-bit identical to a serial one — same stats, trace, samples, and
-//! audit — regardless of worker count or thread interleaving.
+//! Global memory is two-phase. Every SM steps cycle `c` against the same
+//! frozen memory image, staging its stores in a per-SM log (see
+//! [`crate::GmemView`]); the driver then commits the logs in ascending SM
+//! order. An SM therefore sees its own stores at once, another SM's on the
+//! next cycle, and two SMs storing to one word in the same cycle resolve
+//! in favour of the higher-numbered SM.
 //!
 //! # Skip-ahead
 //!
@@ -25,8 +24,7 @@
 //! fetch-group) veto skip-ahead via
 //! [`crate::scheduler::WarpScheduler::idle_prioritize_is_noop`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
 use prf_isa::{CtaId, GridConfig, Kernel};
 
@@ -52,75 +50,6 @@ fn note_pilot_finish(pilot: &mut Option<u64>, finished: &[(u32, u32, u64)], star
     }
 }
 
-/// A sense-reversing spin-then-block barrier for the SM-parallel cycle
-/// loop.
-///
-/// The loop synchronises twice per simulated cycle, so barrier cost is on
-/// the critical path. When each thread has its own core, waits almost
-/// always resolve in the bounded spin phase (~100ns, no syscall) — far
-/// cheaper than the mutex + condvar handoff of `std::sync::Barrier`, whose
-/// ~µs per wait dwarfed the per-SM work and made parallel stepping slower
-/// than serial. When threads outnumber cores, spinning burns the
-/// timeslice the *other* threads need, so the barrier detects
-/// oversubscription at construction and blocks on a condvar immediately,
-/// matching `std::sync::Barrier` behaviour.
-struct SpinBarrier {
-    total: usize,
-    spin_limit: u32,
-    count: AtomicUsize,
-    generation: AtomicUsize,
-    lock: Mutex<()>,
-    condvar: std::sync::Condvar,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // `total` counts the driver thread too; it parks between barriers,
-        // so workers only need cores for themselves most of the time.
-        let spin_limit = if cores >= total { 1 << 14 } else { 0 };
-        SpinBarrier {
-            total,
-            spin_limit,
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            condvar: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until `total` threads have called `wait` for this generation.
-    ///
-    /// The last arrival resets the count *before* publishing the new
-    /// generation, so a thread that races ahead into the next `wait`
-    /// starts the next generation from zero; a spinning thread can never
-    /// miss a generation because advancing again requires its own arrival.
-    /// The generation bump happens under `lock`, which a blocking waiter
-    /// holds between its re-check and `condvar.wait`, so wakeups are never
-    /// lost.
-    fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            self.count.store(0, Ordering::Relaxed);
-            let guard = self.lock.lock().expect("barrier lock");
-            self.generation.fetch_add(1, Ordering::Release);
-            drop(guard);
-            self.condvar.notify_all();
-            return;
-        }
-        for _ in 0..self.spin_limit {
-            if self.generation.load(Ordering::Acquire) != generation {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        let mut guard = self.lock.lock().expect("barrier lock");
-        while self.generation.load(Ordering::Acquire) == generation {
-            guard = self.condvar.wait(guard).expect("barrier condvar");
-        }
-    }
-}
-
 /// Errors from running a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -134,19 +63,6 @@ pub enum SimError {
     /// rejected before simulation started. Deterministic: retrying the
     /// same input can never succeed.
     Invalid(crate::validate::ValidationError),
-}
-
-impl SimError {
-    /// True for errors that are a pure function of the inputs — rerunning
-    /// the same job will fail the same way, so callers should fail fast
-    /// rather than retry. (Every current variant is deterministic; the
-    /// distinction matters to retry policies that also see panics and
-    /// timeouts.)
-    pub fn is_deterministic(&self) -> bool {
-        match self {
-            SimError::CycleLimitExceeded { .. } | SimError::Invalid(_) => true,
-        }
-    }
 }
 
 impl std::fmt::Display for SimError {
@@ -311,29 +227,35 @@ impl Gpu {
         // the scheduler untouched; probe a throwaway instance.
         let skip_ok = self.config.skip_ahead
             && build_scheduler(self.config.scheduler).idle_prioritize_is_noop();
-        let threads = self.config.sm_threads.min(sms.len());
 
-        if threads > 1 {
-            self.run_parallel(
-                &mut sms,
-                grid,
-                &mut next_cta,
-                &mut pilot_finish,
-                start_cycle,
-                limit,
-                skip_ok,
-                threads,
-            )?;
-        } else {
-            self.run_serial(
-                &mut sms,
-                grid,
-                &mut next_cta,
-                &mut pilot_finish,
-                start_cycle,
-                limit,
-                skip_ok,
-            )?;
+        loop {
+            self.dispatch_ctas(&mut sms, grid, &mut next_cta, self.cycle);
+
+            // Execute: every SM steps the cycle against the frozen memory
+            // image, staging its stores.
+            let mut issued = 0u64;
+            for sm in sms.iter_mut() {
+                issued += u64::from(sm.cycle(self.cycle, &self.global));
+            }
+            // Commit: apply staged stores in SM order, drain finishes.
+            for sm in sms.iter_mut() {
+                sm.commit_global_writes(&mut self.global);
+                note_pilot_finish(&mut pilot_finish, &sm.finished_warps, start_cycle);
+                sm.finished_warps.clear();
+            }
+            self.cycle += 1;
+
+            if next_cta >= grid.num_ctas && sms.iter().all(|sm| sm.is_idle()) {
+                break;
+            }
+            if skip_ok && issued == 0 {
+                self.skip_idle_span(&mut sms, grid, next_cta, limit);
+            }
+            if self.cycle >= limit {
+                return Err(SimError::CycleLimitExceeded {
+                    limit: self.config.max_cycles,
+                });
+            }
         }
 
         let mut stats = SmStats::new();
@@ -420,191 +342,6 @@ impl Gpu {
             self.skipped_cycles += 1;
         }
     }
-
-    /// The single-threaded cycle loop (also used when `sm_threads <= 1` or
-    /// only one SM exists).
-    #[allow(clippy::too_many_arguments)]
-    fn run_serial(
-        &mut self,
-        sms: &mut [Sm],
-        grid: GridConfig,
-        next_cta: &mut u32,
-        pilot_finish: &mut Option<u64>,
-        start_cycle: u64,
-        limit: u64,
-        skip_ok: bool,
-    ) -> Result<(), SimError> {
-        loop {
-            self.dispatch_ctas(sms, grid, next_cta, self.cycle);
-
-            // Execute: every SM steps the cycle against the frozen memory
-            // image, staging its stores.
-            let mut issued = 0u64;
-            for sm in sms.iter_mut() {
-                issued += u64::from(sm.cycle(self.cycle, &self.global));
-            }
-            // Commit: apply staged stores in SM order, drain finishes.
-            for sm in sms.iter_mut() {
-                sm.commit_global_writes(&mut self.global);
-                note_pilot_finish(pilot_finish, &sm.finished_warps, start_cycle);
-                sm.finished_warps.clear();
-            }
-            self.cycle += 1;
-
-            if *next_cta >= grid.num_ctas && sms.iter().all(|sm| sm.is_idle()) {
-                return Ok(());
-            }
-            if skip_ok && issued == 0 {
-                self.skip_idle_span(sms, grid, *next_cta, limit);
-            }
-            if self.cycle >= limit {
-                return Err(SimError::CycleLimitExceeded {
-                    limit: self.config.max_cycles,
-                });
-            }
-        }
-    }
-
-    /// The SM-parallel cycle loop: a persistent pool of `threads` scoped
-    /// workers steps the SMs of each cycle concurrently (strided
-    /// assignment), separated from the driver's dispatch/commit work by a
-    /// pair of barriers. The schedule — and therefore every stat, trace
-    /// event, sample, and audit counter — is identical to
-    /// [`Gpu::run_serial`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel(
-        &mut self,
-        sms: &mut [Sm],
-        grid: GridConfig,
-        next_cta: &mut u32,
-        pilot_finish: &mut Option<u64>,
-        start_cycle: u64,
-        limit: u64,
-        skip_ok: bool,
-        threads: usize,
-    ) -> Result<(), SimError> {
-        let start = SpinBarrier::new(threads + 1);
-        let done = SpinBarrier::new(threads + 1);
-        let cycle_now = AtomicU64::new(self.cycle);
-        let issued_now = AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
-        // Workers take shared read access during the execute phase; the
-        // driver takes exclusive access for the commit phase. The barriers
-        // keep the phases disjoint, so the locks never contend.
-        let global = RwLock::new(&mut self.global);
-        let cells: Vec<Mutex<&mut Sm>> = sms.iter_mut().map(Mutex::new).collect();
-        let cycle_ref = &mut self.cycle;
-        let max_cycles = self.config.max_cycles;
-        let mut skipped = 0u64;
-
-        let mut outcome = Ok(());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let (start, done) = (&start, &done);
-                let (cycle_now, issued_now, stop) = (&cycle_now, &issued_now, &stop);
-                let (global, cells) = (&global, &cells);
-                scope.spawn(move || loop {
-                    start.wait();
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let cycle = cycle_now.load(Ordering::Acquire);
-                    let mut issued = 0u64;
-                    {
-                        let mem = global.read().expect("gmem lock");
-                        for cell in cells.iter().skip(t).step_by(threads) {
-                            let sm = &mut *cell.lock().expect("sm lock");
-                            issued += u64::from(sm.cycle(cycle, &mem));
-                        }
-                    }
-                    issued_now.fetch_add(issued, Ordering::AcqRel);
-                    done.wait();
-                });
-            }
-
-            loop {
-                // Dispatch + commit run on the driver thread, between the
-                // `done` barrier of the previous cycle and the `start`
-                // barrier of the next, so the uncontended locks are exact.
-                {
-                    'dispatch: loop {
-                        if *next_cta >= grid.num_ctas {
-                            break;
-                        }
-                        let mut dispatched = false;
-                        for cell in cells.iter() {
-                            if *next_cta >= grid.num_ctas {
-                                break 'dispatch;
-                            }
-                            let sm = &mut *cell.lock().expect("sm lock");
-                            if sm.try_dispatch_cta(CtaId(*next_cta), *cycle_ref) {
-                                *next_cta += 1;
-                                dispatched = true;
-                            }
-                        }
-                        if !dispatched {
-                            break;
-                        }
-                    }
-                }
-
-                issued_now.store(0, Ordering::Release);
-                cycle_now.store(*cycle_ref, Ordering::Release);
-                start.wait();
-                // Workers execute the cycle here.
-                done.wait();
-
-                let mut all_idle = true;
-                {
-                    let mem = &mut **global.write().expect("gmem lock");
-                    for cell in cells.iter() {
-                        let sm = &mut *cell.lock().expect("sm lock");
-                        sm.commit_global_writes(mem);
-                        note_pilot_finish(pilot_finish, &sm.finished_warps, start_cycle);
-                        sm.finished_warps.clear();
-                        all_idle &= sm.is_idle();
-                    }
-                }
-                *cycle_ref += 1;
-
-                if *next_cta >= grid.num_ctas && all_idle {
-                    break;
-                }
-                if skip_ok && issued_now.load(Ordering::Acquire) == 0 {
-                    let stepped = *cycle_ref - 1;
-                    let mut target: Option<u64> = None;
-                    let mut merge = |c: u64| target = Some(target.map_or(c, |t| t.min(c)));
-                    for cell in cells.iter() {
-                        let sm = &*cell.lock().expect("sm lock");
-                        if let Some(c) = sm.next_event(stepped) {
-                            merge(c);
-                        }
-                        if *next_cta < grid.num_ctas {
-                            merge(sm.next_dispatch_ready(stepped));
-                        }
-                    }
-                    if let Some(target) = target {
-                        let target = target.min(limit);
-                        while *cycle_ref < target {
-                            for cell in cells.iter() {
-                                cell.lock().expect("sm lock").idle_advance(*cycle_ref);
-                            }
-                            *cycle_ref += 1;
-                            skipped += 1;
-                        }
-                    }
-                }
-                if *cycle_ref >= limit {
-                    outcome = Err(SimError::CycleLimitExceeded { limit: max_cycles });
-                    break;
-                }
-            }
-            stop.store(true, Ordering::Release);
-            start.wait();
-        });
-        self.skipped_cycles += skipped;
-        outcome
-    }
 }
 
 #[cfg(test)]
@@ -673,51 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_is_bit_identical_to_serial() {
-        let (serial, _, serial_mem) = run_varied(observed_config(4));
-        for threads in [2, 3, 4, 7] {
-            let config = GpuConfig {
-                sm_threads: threads,
-                ..observed_config(4)
-            };
-            let (parallel, _, parallel_mem) = run_varied(config);
-            assert_eq!(
-                serial, parallel,
-                "SM-parallel run ({threads} threads) diverged from serial"
-            );
-            assert_eq!(
-                serial_mem, parallel_mem,
-                "memory diverged ({threads} threads)"
-            );
-            assert!(parallel.audit.as_ref().unwrap().is_clean());
-        }
-    }
-
-    #[test]
-    fn parallel_identity_holds_for_every_scheduler() {
-        for policy in [
-            SchedulerPolicy::Gto,
-            SchedulerPolicy::Lrr,
-            SchedulerPolicy::TwoLevel {
-                active_per_scheduler: 4,
-            },
-            SchedulerPolicy::FetchGroup { group_size: 4 },
-        ] {
-            let base = GpuConfig {
-                scheduler: policy,
-                ..observed_config(4)
-            };
-            let (serial, _, serial_mem) = run_varied(base.clone());
-            let (parallel, _, parallel_mem) = run_varied(GpuConfig {
-                sm_threads: 4,
-                ..base
-            });
-            assert_eq!(serial, parallel, "{policy:?} diverged under SM-parallelism");
-            assert_eq!(serial_mem, parallel_mem);
-        }
-    }
-
-    #[test]
     fn skip_ahead_is_bit_identical_and_actually_skips() {
         let (stepped, stepped_skips, stepped_mem) = run_varied(observed_config(2));
         assert_eq!(stepped_skips, 0);
@@ -749,19 +441,6 @@ mod tests {
             });
             assert_eq!(skips, 0, "{policy:?} must veto skip-ahead");
         }
-    }
-
-    #[test]
-    fn parallel_skip_ahead_matches_serial_stepped() {
-        let (serial, _, serial_mem) = run_varied(observed_config(4));
-        let (fast, skips, fast_mem) = run_varied(GpuConfig {
-            sm_threads: 4,
-            skip_ahead: true,
-            ..observed_config(4)
-        });
-        assert_eq!(serial, fast);
-        assert_eq!(serial_mem, fast_mem);
-        assert!(skips > 0);
     }
 
     #[test]

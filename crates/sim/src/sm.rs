@@ -169,7 +169,7 @@ pub struct Sm {
     warp_pool: Vec<WarpContext>,
     /// Global-memory writes staged by this SM during the current cycle,
     /// applied by [`Sm::commit_global_writes`] in SM-id order (two-phase
-    /// execute/commit, identical under serial and SM-parallel stepping).
+    /// execute/commit, see [`crate::GmemView`]).
     global_writes: Vec<(u32, u32)>,
 }
 
@@ -1143,7 +1143,7 @@ impl Sm {
 
     /// Applies the global-memory writes staged during [`Sm::cycle`]. The
     /// driver calls this once per stepped cycle, in ascending SM order, so
-    /// serial and SM-parallel schedules commit identical memory states.
+    /// other SMs see these stores from the next cycle on.
     pub fn commit_global_writes(&mut self, global: &mut GlobalMemory) {
         for (addr, value) in self.global_writes.drain(..) {
             global.write(addr, value);

@@ -86,7 +86,7 @@ fn config_err(field: &'static str, reason: impl Into<String>) -> ValidationError
 /// Checks a [`GpuConfig`] for structural usability, returning the first
 /// offending field. [`GpuConfig::validate`] is the panicking wrapper.
 pub fn check_config(config: &GpuConfig) -> Result<(), ValidationError> {
-    let positive: [(&'static str, usize); 9] = [
+    let positive: [(&'static str, usize); 8] = [
         ("num_sms", config.num_sms),
         ("max_warps_per_sm", config.max_warps_per_sm),
         ("max_ctas_per_sm", config.max_ctas_per_sm),
@@ -95,7 +95,6 @@ pub fn check_config(config: &GpuConfig) -> Result<(), ValidationError> {
         ("num_rf_banks", config.num_rf_banks),
         ("num_collectors", config.num_collectors),
         ("rf_registers", config.rf_registers),
-        ("sm_threads", config.sm_threads),
     ];
     for (field, value) in positive {
         if value == 0 {
